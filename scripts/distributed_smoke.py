@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke test for the distributed sweep fabric.
 
-Boots a ``repro serve --remote-only`` daemon (queue + lease reaper +
+Boots a ``repro serve --workers 0`` daemon (queue + lease reaper +
 HTTP, no local execution) plus two ``repro worker`` subprocesses, then:
 
 1. asserts an unauthenticated mutating request is rejected with 401
@@ -56,7 +56,7 @@ def main() -> None:
             sys.executable, "-m", "repro", "--cache-dir",
             str(workdir / "daemon-cache"),
             "serve", "--port", "0", "--db", str(workdir / "service.db"),
-            "--remote-only", "--lease-seconds", str(LEASE_SECONDS),
+            "--workers", "0", "--lease-seconds", str(LEASE_SECONDS),
             "--reaper-interval", "0.2", "--quiet",
         ],
         env=base_env,

@@ -564,7 +564,6 @@ def cmd_serve(args) -> int:
         lease_seconds=args.lease_seconds,
         reaper_interval=args.reaper_interval,
         max_queued=args.max_queued,
-        rate_limit=args.rate_limit,
     )
 
     def _stop(signum, frame):
@@ -572,42 +571,33 @@ def cmd_serve(args) -> int:
 
     signal.signal(signal.SIGTERM, _stop)
     signal.signal(signal.SIGINT, _stop)
-    workers = "remote-only" if args.remote_only else args.workers
     print(
         f"repro service listening on {daemon.url} "
         f"(db={daemon.store.path}, cache={daemon.cache.root}, "
-        f"workers={workers})",
+        f"workers={args.workers})",
         flush=True,
     )
-    if args.remote_only:
-        # Queue + reaper + HTTP only: execution belongs to remote
-        # ``repro worker`` processes claiming over the API.
-        daemon.start(run_scheduler=False)
-        while not daemon.scheduler.stopping:
-            time.sleep(0.2)
-        daemon.stop()
-    else:
-        daemon.run()
+    daemon.run()
     print("repro service drained cleanly", flush=True)
     return 0
 
 
 def cmd_worker(args) -> int:
     from repro.obs.logging import StructuredLog
-    from repro.service.worker import RemoteWorker
+    from repro.service.client import ServiceClient
+    from repro.service.worker import Worker
 
     if args.no_disk_cache:
         print("repro worker needs the disk cache (results are written "
               "through it before upload); drop --no-disk-cache")
         return 2
-    worker = RemoteWorker(
-        url=args.url,
+    worker = Worker(
+        queue=ServiceClient(args.url, token=args.token),
         worker_id=args.worker_id,
         concurrency=args.workers,
         lease_seconds=args.lease_seconds,
         poll_interval=args.poll,
         drain_seconds=args.drain_seconds,
-        token=args.token,
         max_jobs=args.max_jobs,
         log=StructuredLog(stream=None if args.quiet else sys.stderr),
     )
@@ -618,7 +608,7 @@ def cmd_worker(args) -> int:
     signal.signal(signal.SIGTERM, _stop)
     signal.signal(signal.SIGINT, _stop)
     print(
-        f"repro worker {worker.worker_id} draining {worker.client.url} "
+        f"repro worker {worker.worker_id} draining {worker.queue.url} "
         f"(concurrency={worker.concurrency}, lease={worker.lease_seconds:g}s)",
         flush=True,
     )
@@ -973,7 +963,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"job database (default: $REPRO_SERVICE_DB or {default_db_path()})",
     )
     serve.add_argument(
-        "--workers", type=int, default=2, help="simulation worker processes"
+        "--workers",
+        type=int,
+        default=2,
+        help="local simulation worker processes (0 = none: execution is "
+        "left to 'repro worker' processes)",
     )
     serve.add_argument(
         "--job-timeout",
@@ -1023,18 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10_000,
         help="reject new submissions (429) beyond this queue depth "
         "(0 = unbounded)",
-    )
-    serve.add_argument(
-        "--rate-limit",
-        type=float,
-        default=0.0,
-        help="per-client requests/second ceiling (token bucket; 0 = off)",
-    )
-    serve.add_argument(
-        "--remote-only",
-        action="store_true",
-        help="run no local workers: queue, reaper, and HTTP only "
-        "(execution is left to 'repro worker' processes)",
     )
 
     worker = sub.add_parser(

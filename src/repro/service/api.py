@@ -19,7 +19,7 @@ Routes (all JSON in, JSON out)::
                              {worker_id, result, source?}; the daemon
                              caches it and marks the job done
     POST   /jobs/<id>/fail   report a worker-side failure {worker_id,
-                             error} (retries with backoff like local)
+                             error}; the daemon's retry policy applies
     POST   /traces           upload {content | content_b64, name?, format?,
                              mode?} -> characterization sidecar (201 new,
                              200 when deduplicated by content hash)
@@ -36,7 +36,7 @@ Errors are ``{"error": <message>}`` with a meaningful status: 400 for a
 bad submission, 401 for a missing/invalid bearer token on a mutating
 route, 404 unknown job, 409 for result-of-unfinished, cancel-of-running
 or a lost lease, 410 when a done job's cache entry was pruned, 429
-(with ``Retry-After``) under rate limiting or queue backpressure.
+(with ``Retry-After``) under queue backpressure.
 Every error body is JSON — including the stdlib-generated ones
 (unsupported method, unparseable request line), via the ``send_error``
 override.
@@ -61,11 +61,12 @@ from repro.obs.tracing import span
 from repro.service import jobstore
 from repro.service.daemon import (
     IngestError,
-    LeaseLostError,
     QueueFullError,
     SubmitError,
     WorkerProtocolError,
 )
+from repro.service.jobstore import LeaseLostError
+from repro.sim.results import ResultDecodeError, SimResult
 from repro.traces.store import TraceStoreError
 
 if TYPE_CHECKING:
@@ -176,19 +177,6 @@ class _Handler(BaseHTTPRequestHandler):
         except KeyError as exc:
             raise ApiError(404, str(exc)) from None
 
-    def _check_rate_limit(self, collection: str) -> None:
-        """Token-bucket limiting per client address (``/healthz`` exempt)."""
-        if collection == "healthz":
-            return
-        client = self.client_address[0] if self.client_address else "?"
-        allowed, retry_after = self.daemon_ref.limiter.allow(client)
-        if not allowed:
-            raise ApiError(
-                429,
-                "rate limit exceeded; slow down",
-                headers={"Retry-After": f"{max(retry_after, 0.001):.3f}"},
-            )
-
     def _check_auth(self, method: str) -> None:
         """Constant-time bearer-token check on mutating methods."""
         token = self.daemon_ref.token
@@ -209,7 +197,6 @@ class _Handler(BaseHTTPRequestHandler):
         with span("http.request", category="http", method=method, path=self.path):
             try:
                 collection, job_id, sub, query = self._route()
-                self._check_rate_limit(collection)
                 self._check_auth(method)
                 handler = getattr(self, f"_{method}_{collection}", None)
                 if handler is None:
@@ -277,41 +264,54 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(201 if created else 200, {"job": job.as_dict(), "created": created})
 
     def _claim_job(self) -> None:
-        try:
-            job = self.daemon_ref.claim_job(self._body())
-        except WorkerProtocolError as exc:
-            raise ApiError(400, str(exc)) from None
+        worker_id, lease = _worker_fields(self._body())
+        job = self.daemon_ref.claim(worker_id=worker_id, lease_seconds=lease)
         self._reply(200, {"job": job.as_dict() if job is not None else None})
 
     def _heartbeat_job(self, job_id: str) -> None:
-        try:
-            job = self.daemon_ref.heartbeat_job(job_id, self._body())
-        except WorkerProtocolError as exc:
-            raise ApiError(400, str(exc)) from None
-        except KeyError as exc:
-            raise ApiError(404, str(exc)) from None
-        except LeaseLostError as exc:
-            raise ApiError(409, str(exc)) from None
-        self._reply(200, {"job": job.as_dict()})
+        worker_id, lease = _worker_fields(self._body())
+        self._lease_call(
+            self.daemon_ref.heartbeat,
+            job_id=job_id,
+            worker_id=worker_id,
+            lease_seconds=lease,
+        )
 
     def _fail_job(self, job_id: str) -> None:
-        try:
-            job = self.daemon_ref.remote_fail(job_id, self._body())
-        except WorkerProtocolError as exc:
-            raise ApiError(400, str(exc)) from None
-        except KeyError as exc:
-            raise ApiError(404, str(exc)) from None
-        except LeaseLostError as exc:
-            raise ApiError(409, str(exc)) from None
-        self._reply(200, {"job": job.as_dict()})
+        payload = self._body()
+        worker_id, _lease = _worker_fields(payload)
+        error = str(payload.get("error") or "worker reported failure")
+        self._lease_call(
+            self.daemon_ref.fail, job_id=job_id, worker_id=worker_id, error=error
+        )
 
     def _PUT_jobs(self, job_id, sub, query) -> None:  # noqa: N802
         if job_id is None or sub != "result":
             raise ApiError(404, "PUT only to /jobs/<id>/result")
+        payload = self._body(max_bytes=MAX_RESULT_BODY_BYTES)
+        worker_id, _lease = _worker_fields(payload)
+        result_dict = payload.get("result")
+        if not isinstance(result_dict, dict):
+            raise ApiError(400, "'result' must be a SimResult JSON object")
         try:
-            job = self.daemon_ref.remote_result(
-                job_id, self._body(max_bytes=MAX_RESULT_BODY_BYTES)
-            )
+            result = SimResult.from_json_dict(result_dict)
+        except (ResultDecodeError, TypeError, ValueError, KeyError) as exc:
+            raise ApiError(400, f"undecodable result payload: {exc}") from None
+        source = payload.get("source") or "remote"
+        if not isinstance(source, str):
+            raise ApiError(400, "'source' must be a string")
+        self._lease_call(
+            self.daemon_ref.finish,
+            job_id=job_id,
+            worker_id=worker_id,
+            result=result,
+            source=source,
+        )
+
+    def _lease_call(self, call, **kwargs) -> None:
+        """Run one lease-guarded queue call; reply with the job row."""
+        try:
+            job = call(**kwargs)
         except WorkerProtocolError as exc:
             raise ApiError(400, str(exc)) from None
         except KeyError as exc:
@@ -398,6 +398,22 @@ class _Handler(BaseHTTPRequestHandler):
         if fmt != "json":
             raise ApiError(400, f"unknown format {fmt!r}; choose json or prometheus")
         self._reply(200, {"metrics": self.daemon_ref.metrics()})
+
+
+def _worker_fields(payload: Any) -> Tuple[str, Optional[float]]:
+    """``(worker_id, lease_seconds)`` from a worker-route payload."""
+    if not isinstance(payload, dict):
+        raise ApiError(400, "worker payload must be a JSON object")
+    worker_id = payload.get("worker_id")
+    if not isinstance(worker_id, str) or not worker_id:
+        raise ApiError(400, "'worker_id' is a required string")
+    lease = payload.get("lease_seconds")
+    if lease is None:
+        return worker_id, None
+    lease = float(lease)
+    if lease < 0:
+        raise ApiError(400, "lease_seconds must be > 0")
+    return worker_id, lease or None  # 0 asks for the daemon's default
 
 
 def make_server(

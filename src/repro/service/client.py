@@ -7,6 +7,10 @@ wrappers over :class:`ServiceClient`; scripts can use it directly::
     job = client.submit("lbm06", "dynamic_ptmc", ops=4000, warmup=6000)
     done = client.wait(job["id"], timeout=300)
     result = client.result(job["id"])          # a SimResult
+
+It is also a job *queue* for :class:`~repro.service.worker.Worker`:
+``claim``/``heartbeat``/``finish``/``fail`` mirror the daemon's own
+methods over HTTP, which is all ``repro worker`` needs.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, List, Optional
 
+from repro.service.jobstore import Job, LeaseLostError
 from repro.sim.results import SimResult
 
 #: Environment variable naming the daemon to talk to.
@@ -36,7 +41,7 @@ class ServiceError(RuntimeError):
     """The daemon answered with an error (or could not be reached).
 
     ``retry_after`` carries the daemon's ``Retry-After`` hint (seconds)
-    on 429 backpressure/rate-limit answers, ``None`` otherwise.
+    on 429 backpressure answers, ``None`` otherwise.
     """
 
     def __init__(
@@ -189,48 +194,49 @@ class ServiceClient:
                 raise ServiceError(408, f"timed out waiting for job {job_id}")
             time.sleep(poll)
 
-    # -- worker protocol (used by ``repro worker``) ----------------------
+    # -- the queue (used by ``repro worker``) ------------------------------
+    #
+    # The same four signatures as ServiceDaemon's, so a Worker runs
+    # unchanged against either; a 404/409 becomes LeaseLostError.
 
     def claim(
         self, worker_id: str, lease_seconds: Optional[float] = None
-    ) -> Optional[Dict[str, Any]]:
+    ) -> Optional[Job]:
         """Lease the best queued job; ``None`` when the queue is empty."""
-        payload: Dict[str, Any] = {"worker_id": worker_id}
-        if lease_seconds is not None:
-            payload["lease_seconds"] = lease_seconds
-        return self._request("POST", "/jobs/claim", payload)["job"]
+        payload = {"worker_id": worker_id, "lease_seconds": lease_seconds}
+        return self._queue_call("POST", "/jobs/claim", payload)
 
     def heartbeat(
-        self,
-        job_id: str,
-        worker_id: str,
-        lease_seconds: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Renew a lease; raises :class:`ServiceError` (409) when lost."""
-        payload: Dict[str, Any] = {"worker_id": worker_id}
-        if lease_seconds is not None:
-            payload["lease_seconds"] = lease_seconds
-        return self._request("POST", f"/jobs/{job_id}/heartbeat", payload)["job"]
+        self, job_id: str, worker_id: str, lease_seconds: Optional[float] = None
+    ) -> Job:
+        """Renew a lease; raises :class:`LeaseLostError` when it is gone."""
+        payload = {"worker_id": worker_id, "lease_seconds": lease_seconds}
+        return self._queue_call("POST", f"/jobs/{job_id}/heartbeat", payload)
 
-    def upload_result(
-        self,
-        job_id: str,
-        worker_id: str,
-        result: SimResult,
-        source: str = "remote",
-    ) -> Dict[str, Any]:
+    def finish(
+        self, job_id: str, worker_id: str, result: SimResult, source: str = "remote"
+    ) -> Job:
         """Replicate a finished result to the daemon's cache; job -> done."""
         payload = {
             "worker_id": worker_id,
             "result": result.to_json_dict(),
             "source": source,
         }
-        return self._request("PUT", f"/jobs/{job_id}/result", payload)["job"]
+        return self._queue_call("PUT", f"/jobs/{job_id}/result", payload)
 
-    def fail_job(self, job_id: str, worker_id: str, error: str) -> Dict[str, Any]:
-        """Report a worker-side failure (daemon applies its retry policy)."""
+    def fail(self, job_id: str, worker_id: str, error: str) -> Job:
+        """Report a failed attempt (the daemon applies its retry policy)."""
         payload = {"worker_id": worker_id, "error": error}
-        return self._request("POST", f"/jobs/{job_id}/fail", payload)["job"]
+        return self._queue_call("POST", f"/jobs/{job_id}/fail", payload)
+
+    def _queue_call(self, method: str, path: str, payload: dict) -> Optional[Job]:
+        try:
+            row = self._request(method, path, payload)["job"]
+        except ServiceError as exc:
+            if exc.status in (404, 409):
+                raise LeaseLostError(exc.message) from None
+            raise
+        return None if row is None else Job(**row)
 
     def upload_trace(
         self,

@@ -1,10 +1,20 @@
-"""One service process: job store + scheduler + HTTP front end.
+"""One service process: job store, local worker, lease reaper, HTTP.
 
 :class:`ServiceDaemon` owns the durable pieces (SQLite job store, the
-shared content-addressed disk cache) and the runtime pieces (scheduler
-thread-or-loop, threaded HTTP server, telemetry registry).  The CLI's
-``repro serve`` builds one and blocks in :meth:`run`; tests embed one
-in-process via :meth:`start` / :meth:`stop`.
+shared content-addressed disk cache) and the runtime pieces (an
+in-process :class:`~repro.service.worker.Worker`, the lease reaper,
+threaded HTTP server, telemetry registry).  The CLI's ``repro serve``
+builds one and blocks in :meth:`ServiceDaemon.run`; tests embed one
+in-process via :meth:`~ServiceDaemon.start` / :meth:`~ServiceDaemon.stop`.
+
+The daemon is also the *queue* every worker talks to: its
+:meth:`~ServiceDaemon.claim`, :meth:`~ServiceDaemon.heartbeat`,
+:meth:`~ServiceDaemon.finish` and :meth:`~ServiceDaemon.fail` are called
+in-process by the local worker and over HTTP (via ``api.py``) by remote
+``repro worker`` processes.  All job policy lives in those four calls:
+retry with exponential backoff, service stats, the ``service.job`` trace
+spans and ``job_seconds`` histogram, worker tracking, and writing each
+result to the cache before the state flips.
 
 Submission — shared by the HTTP handler and any in-process caller —
 deduplicates twice:
@@ -14,13 +24,14 @@ deduplicates twice:
 2. an identical job already queued or running is joined instead of
    duplicated (``created=False`` in the response).
 
-Telemetry registers under ``service.*`` (plus the runner's ``runner.*``
-counters) in one :class:`~repro.telemetry.StatRegistry`, surfaced as
-JSON by ``GET /metrics``.
+Telemetry registers under ``service.*`` / ``worker.*`` (plus the
+runner's ``runner.*`` and the trace store's ``trace.*`` counters) in one
+:class:`~repro.telemetry.StatRegistry`, surfaced by ``GET /metrics``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import threading
@@ -29,18 +40,18 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cache.replacement import POLICIES
 from repro.obs.logging import StructuredLog
+from repro.obs.tracing import async_begin, async_end
 from repro.service import jobstore
-from repro.service.jobstore import Job, JobStore
-from repro.service.scheduler import (
+from repro.service.jobstore import Job, JobStore, LeaseLostError
+from repro.service.worker import (
     TRACE_CONFIG_KEYS,
-    Scheduler,
-    ServiceStats,
+    Worker,
     config_from_overrides,
     resolve_job_workload,
 )
 from repro.sim import runner
 from repro.sim.diskcache import DiskCache, cache_key
-from repro.sim.results import ResultDecodeError, SimResult
+from repro.sim.results import SimResult
 from repro.sim.system import DESIGNS
 from repro.telemetry import StatRegistry, StatScope
 from repro.traces.formats import TraceParseError
@@ -56,6 +67,14 @@ ALLOWED_CONFIG_KEYS = (
 #: the daemon) every mutating request must present it; when set on a
 #: client/worker process it is sent automatically.
 SERVICE_TOKEN_ENV = "REPRO_SERVICE_TOKEN"
+
+#: Retry backoff: attempt ``n`` waits ``base * FACTOR**(n-1)`` seconds,
+#: capped at ``BACKOFF_MAX``.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 60.0
+
+#: Queue-depth histogram bounds (jobs waiting at submission time).
+QUEUE_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0)
 
 
 class SubmitError(ValueError):
@@ -74,8 +93,50 @@ class WorkerProtocolError(ValueError):
     """A malformed claim/heartbeat/result/fail request from a worker."""
 
 
-class LeaseLostError(RuntimeError):
-    """The caller no longer holds the job's lease (reaped or re-owned)."""
+@dataclasses.dataclass
+class ServiceStats:
+    """Process-wide service counters (mirrors the runner's ``RunnerStats``)."""
+
+    submitted: int = 0
+    completed: int = 0
+    failed: int = 0
+    retried: int = 0
+    cancelled: int = 0
+    #: submissions that joined an already-active identical job
+    dedup_active: int = 0
+    #: submissions served instantly from the shared disk cache
+    dedup_cache: int = 0
+    orphans_recovered: int = 0
+    drain_requeued: int = 0
+
+    # Distribution stats (not dataclass fields: they live in the registry
+    # and are bound here by register_stats so call sites can observe into
+    # them; ``None`` until a registry exists, so bare ``ServiceStats()``
+    # instances in unit tests stay inert).
+    job_seconds = None
+    queue_depth_samples = None
+    http_request_seconds = None
+
+    def as_dict(self) -> Dict[str, int]:
+        return dataclasses.asdict(self)
+
+    def register_stats(self, scope: StatScope, store: JobStore) -> None:
+        """Expose service counters plus queue/latency stats under ``scope``."""
+        for name in self.as_dict():
+            scope.counter(name, (lambda n=name: getattr(self, n)))
+        scope.gauge("queue_depth", lambda: store.counts()[jobstore.QUEUED])
+        scope.gauge("running", lambda: store.counts()[jobstore.RUNNING])
+        self.job_seconds = scope.histogram(
+            "job_seconds", doc="claim-to-finish/fail wall time of every job attempt"
+        )
+        self.queue_depth_samples = scope.histogram(
+            "queue_depth_samples",
+            buckets=QUEUE_DEPTH_BUCKETS,
+            doc="queue depth observed at each submission",
+        )
+        self.http_request_seconds = scope.histogram(
+            "http_request_seconds", doc="HTTP request handling duration"
+        )
 
 
 def _worker_path_segment(worker_id: str) -> str:
@@ -149,34 +210,6 @@ class WorkerTracker:
             return dict(self._completed)
 
 
-class TokenBucketLimiter:
-    """Per-client token buckets: ``rate`` requests/second, ``burst`` deep.
-
-    ``allow`` returns ``(ok, retry_after_seconds)``; a rate of 0
-    disables limiting entirely.
-    """
-
-    def __init__(self, rate: float, burst: Optional[float] = None) -> None:
-        self.rate = float(rate)
-        self.burst = float(burst) if burst is not None else max(2 * self.rate, 1.0)
-        self._lock = threading.Lock()
-        #: client -> (tokens, last refill time)
-        self._buckets: Dict[str, Tuple[float, float]] = {}
-
-    def allow(self, client: str, now: Optional[float] = None) -> Tuple[bool, float]:
-        if self.rate <= 0:
-            return True, 0.0
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            tokens, last = self._buckets.get(client, (self.burst, now))
-            tokens = min(self.burst, tokens + (now - last) * self.rate)
-            if tokens >= 1.0:
-                self._buckets[client] = (tokens - 1.0, now)
-                return True, 0.0
-            self._buckets[client] = (tokens, now)
-            return False, (1.0 - tokens) / self.rate
-
-
 class ServiceDaemon:
     """Everything one ``repro serve`` process runs."""
 
@@ -197,8 +230,6 @@ class ServiceDaemon:
         lease_seconds: float = 30.0,
         reaper_interval: float = 1.0,
         max_queued: int = 10_000,
-        rate_limit: float = 0.0,
-        rate_burst: Optional[float] = None,
     ) -> None:
         self.store = JobStore(db_path)
         if cache_dir is not None:
@@ -216,6 +247,9 @@ class ServiceDaemon:
             self.traces = trace_store()
         self.stats = ServiceStats()
         self.max_attempts = max_attempts
+        #: stored on rows submitted without their own ``timeout``
+        self.default_timeout = default_timeout
+        self.backoff_base = backoff_base
         self.started_at = time.time()
         #: shared bearer token guarding mutating routes (None = open)
         self.token = (
@@ -225,26 +259,29 @@ class ServiceDaemon:
         self.reaper_interval = reaper_interval
         #: queued-row ceiling for backpressure (0 = unbounded)
         self.max_queued = max_queued
-        self.limiter = TokenBucketLimiter(rate_limit, rate_burst)
         self.workers_seen = WorkerTracker(live_horizon=3 * lease_seconds)
         self._reaper_thread: Optional[threading.Thread] = None
         self._reaper_stop = threading.Event()
+        self._stop = threading.Event()
         #: structured JSON event log (``log_stream=None`` keeps it off,
         #: the default for embedded/test daemons; ``repro serve`` passes
         #: stderr)
         self.log = StructuredLog(log_stream)
-        self.scheduler = Scheduler(
-            self.store,
-            cache_dir=str(self.cache.root),
-            trace_dir=str(self.traces.root),
-            workers=workers,
-            default_timeout=default_timeout,
-            drain_seconds=drain_seconds,
-            backoff_base=backoff_base,
-            lease_seconds=lease_seconds,
-            stats=self.stats,
-            log=self.log,
-        )
+        #: the in-process worker (``None`` when ``workers=0``: execution
+        #: is left to remote ``repro worker`` processes)
+        self.worker: Optional[Worker] = None
+        if workers > 0:
+            self.worker = Worker(
+                queue=self,
+                worker_id=f"local:{os.getpid()}",
+                concurrency=workers,
+                lease_seconds=lease_seconds,
+                poll_interval=0.05,
+                drain_seconds=drain_seconds,
+                cache_dir=str(self.cache.root),
+                trace_dir=str(self.traces.root),
+                log=self.log,
+            )
         self.registry = StatRegistry()
         service_scope = self.registry.scope("service")
         self.stats.register_stats(service_scope, self.store)
@@ -262,7 +299,7 @@ class ServiceDaemon:
 
         self.server = make_server(self, host, port)
         self._http_thread: Optional[threading.Thread] = None
-        self._scheduler_thread: Optional[threading.Thread] = None
+        self._worker_thread: Optional[threading.Thread] = None
 
     # -- addresses -------------------------------------------------------
 
@@ -326,9 +363,10 @@ class ServiceDaemon:
             raise SubmitError(f"bad config overrides: {exc}") from None
         priority = int(payload.get("priority", 0))
         max_attempts = int(payload.get("max_attempts", self.max_attempts))
+        # The resolved deadline is stored on the row, so every worker —
+        # local or remote — enforces the same one.
         timeout = payload.get("timeout")
-        if timeout is not None:
-            timeout = float(timeout)
+        timeout = float(timeout) if timeout is not None else self.default_timeout
         key = cache_key(workload, design, config)
         if self.stats.queue_depth_samples is not None:
             self.stats.queue_depth_samples.observe(
@@ -433,119 +471,136 @@ class ServiceDaemon:
         """The completed job's :class:`SimResult` from the shared cache."""
         return self.cache.get(job.key)
 
-    # -- remote-worker protocol (claim / heartbeat / result / fail) ------
+    # -- the queue: claim / heartbeat / finish / fail --------------------
+    #
+    # Called in-process by the local Worker and through api.py by remote
+    # ones; ServiceClient mirrors these four signatures over HTTP.
 
-    @staticmethod
-    def _worker_fields(payload: Any) -> Tuple[str, float]:
-        if not isinstance(payload, dict):
-            raise WorkerProtocolError("worker payload must be a JSON object")
-        worker_id = payload.get("worker_id")
-        if not isinstance(worker_id, str) or not worker_id:
-            raise WorkerProtocolError("'worker_id' is a required string")
-        lease = payload.get("lease_seconds")
-        lease = float(lease) if lease is not None else 0.0
-        return worker_id, lease
-
-    def claim_job(self, payload: Dict[str, Any]) -> Optional[Job]:
-        """Lease the best queued job to a remote worker (``None`` = empty)."""
-        worker_id, lease = self._worker_fields(payload)
-        lease = lease or self.lease_seconds
-        if lease <= 0:
-            raise WorkerProtocolError("lease_seconds must be > 0")
+    def claim(
+        self, worker_id: str, lease_seconds: Optional[float] = None
+    ) -> Optional[Job]:
+        """Lease the best queued job to ``worker_id`` (``None`` = empty)."""
+        lease = lease_seconds or self.lease_seconds
         self.workers_seen.seen(worker_id)
         job = self.store.claim(worker_id=worker_id, lease_seconds=lease)
         if job is not None:
+            async_begin(
+                "service.job",
+                job.id,
+                category="service",
+                workload=job.workload,
+                design=job.design,
+            )
             self.log.event(
-                "job_claimed",
+                "job_dispatched",
                 job_id=job.id,
+                workload=job.workload,
+                design=job.design,
                 worker_id=worker_id,
+                attempt=job.attempts,
                 lease_seconds=lease,
             )
         return job
 
-    def heartbeat_job(self, job_id: str, payload: Dict[str, Any]) -> Job:
+    def heartbeat(
+        self, job_id: str, worker_id: str, lease_seconds: Optional[float] = None
+    ) -> Job:
         """Renew a worker's lease; raises :class:`LeaseLostError` if gone."""
-        worker_id, lease = self._worker_fields(payload)
         self.workers_seen.seen(worker_id)
         job = self.store.find(job_id)  # KeyError -> 404 at the API layer
-        ok = self.store.heartbeat(
-            job.id, worker_id, lease or self.lease_seconds
-        )
-        if not ok:
+        if not self.store.heartbeat(
+            job.id, worker_id, lease_seconds or self.lease_seconds
+        ):
             raise LeaseLostError(
                 f"job {job.id} is not leased to worker {worker_id!r} "
                 f"(state {self.store.get(job.id).state})"
             )
         return self.store.get(job.id)
 
-    def remote_result(self, job_id: str, payload: Dict[str, Any]) -> Job:
+    def finish(
+        self, job_id: str, worker_id: str, result: SimResult, source: str = "remote"
+    ) -> Job:
         """Adopt a worker's finished result: cache it, mark the job done.
 
-        The payload carries the :meth:`SimResult.to_json_dict` dict; the
-        daemon writes it through its content-addressed cache under the
-        job's key, so results replicate to the shared store exactly as
-        if the local pool had produced them.
+        The result is written through the content-addressed cache under
+        the job's key *before* the state flip, so a ``GET
+        /jobs/<id>/result`` that races the transition never sees
+        done-without-result.  For a local job this rewrites the entry
+        the pool already wrote (idempotent, flock'd).
         """
-        worker_id, _lease = self._worker_fields(payload)
         job = self.store.find(job_id)
-        result_dict = payload.get("result")
-        if not isinstance(result_dict, dict):
-            raise WorkerProtocolError("'result' must be a SimResult JSON object")
-        try:
-            result = SimResult.from_json_dict(result_dict)
-        except (ResultDecodeError, TypeError, ValueError, KeyError) as exc:
-            raise WorkerProtocolError(f"undecodable result payload: {exc}") from None
         if result.design != job.design:
             raise WorkerProtocolError(
                 f"result is for design {result.design!r}, job wants {job.design!r}"
             )
-        source = payload.get("source") or "remote"
-        if not isinstance(source, str):
-            raise WorkerProtocolError("'source' must be a string")
-        # Persist before the state flip so a GET /jobs/<id>/result that
-        # races the transition never sees done-without-result.
         self.cache.put(job.key, result)
         if not self.store.finish(job.id, source, worker_id=worker_id):
             raise LeaseLostError(
                 f"job {job.id} is no longer leased to worker {worker_id!r}; "
                 f"result cached but job state unchanged"
             )
+        seconds = self._end_attempt(job, "done")
         self.stats.completed += 1
         self.workers_seen.completed(worker_id)
         self.log.event(
-            "job_completed", job_id=job.id, source=source, worker_id=worker_id
+            "job_completed",
+            job_id=job.id,
+            source=source,
+            worker_id=worker_id,
+            seconds=round(seconds, 6),
         )
         return self.store.get(job.id)
 
-    def remote_fail(self, job_id: str, payload: Dict[str, Any]) -> Job:
-        """Record a worker-side failure (retries with backoff like local)."""
-        worker_id, _lease = self._worker_fields(payload)
-        job = self.store.find(job_id)
-        error = str(payload.get("error") or "worker reported failure")
+    def fail(self, job_id: str, worker_id: str, error: str) -> Job:
+        """Record a failed attempt: retry with backoff, or fail terminally.
+
+        A job is retried while it has attempts left and its identity
+        still resolves here; an identity the daemon cannot resolve
+        either can never succeed anywhere.
+        """
         self.workers_seen.seen(worker_id)
-        if job.attempts < job.max_attempts:
+        job = self.store.find(job_id)
+        delay = None
+        if job.attempts < job.max_attempts and self._resolves(job):
             delay = min(
-                self.scheduler.backoff_base
-                * self.scheduler.backoff_factor ** (max(job.attempts, 1) - 1),
-                self.scheduler.backoff_max,
+                self.backoff_base * BACKOFF_FACTOR ** (job.attempts - 1), BACKOFF_MAX
             )
-            ok = self.store.fail(
-                job.id, error, retry_delay=delay, worker_id=worker_id
-            )
-            if ok:
-                self.stats.retried += 1
-        else:
-            ok = self.store.fail(job.id, error, worker_id=worker_id)
-            if ok:
-                self.stats.failed += 1
-        if not ok:
+        if not self.store.fail(job.id, error, retry_delay=delay, worker_id=worker_id):
             raise LeaseLostError(
                 f"job {job.id} is no longer leased to worker {worker_id!r}"
             )
+        outcome = "failed" if delay is None else "retried"
+        self._end_attempt(job, outcome)
+        if delay is None:
+            self.stats.failed += 1
+        else:
+            self.stats.retried += 1
         self.log.event(
-            "job_worker_failed", job_id=job.id, worker_id=worker_id, error=error
+            f"job_{outcome}",
+            job_id=job.id,
+            worker_id=worker_id,
+            error=error,
+            attempt=job.attempts,
+            retry_delay=delay,
         )
         return self.store.get(job.id)
+
+    @staticmethod
+    def _resolves(job: Job) -> bool:
+        try:
+            resolve_job_workload(job.workload, job.config)
+            config_from_overrides(job.config)
+        except (KeyError, TypeError, ValueError, TraceStoreError):
+            return False
+        return True
+
+    def _end_attempt(self, job: Job, outcome: str) -> float:
+        """Close the attempt's trace span; its claim-to-now seconds."""
+        async_end("service.job", job.id, category="service", outcome=outcome)
+        seconds = time.time() - job.started_at
+        if self.stats.job_seconds is not None:
+            self.stats.job_seconds.observe(seconds)
+        return seconds
 
     # -- lease reaper ----------------------------------------------------
 
@@ -554,6 +609,7 @@ class ServiceDaemon:
         reaped = self.store.reap_expired()
         for job in reaped:
             self.workers_seen.lease_expired(job.worker_id)
+            async_end("service.job", job.id, category="service", outcome="lease_expired")
             self.log.event(
                 "lease_expired",
                 job_id=job.id,
@@ -569,19 +625,6 @@ class ServiceDaemon:
             except Exception:  # noqa: BLE001 — never kill the reaper thread
                 pass
 
-    def _start_reaper(self) -> None:
-        self._reaper_stop.clear()
-        self._reaper_thread = threading.Thread(
-            target=self._reaper_loop, name="repro-service-reaper", daemon=True
-        )
-        self._reaper_thread.start()
-
-    def _stop_reaper(self) -> None:
-        self._reaper_stop.set()
-        if self._reaper_thread is not None:
-            self._reaper_thread.join(5.0)
-            self._reaper_thread = None
-
     def health(self) -> Dict[str, Any]:
         counts = self.store.counts()
         return {
@@ -589,12 +632,12 @@ class ServiceDaemon:
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "queue": counts,
             "queue_depth": counts[jobstore.QUEUED],
-            "inflight": self.scheduler.inflight,
-            "workers": self.scheduler.workers,
+            "inflight": self.worker.inflight if self.worker else 0,
+            "workers": self.worker.concurrency if self.worker else 0,
             "live_workers": self.workers_seen.live(),
             "lease_seconds": self.lease_seconds,
             "auth": self.token is not None,
-            "draining": self.scheduler.stopping,
+            "draining": self._stop.is_set(),
             "cache_dir": str(self.cache.root),
             "trace_dir": str(self.traces.root),
             "db": str(self.store.path),
@@ -606,64 +649,91 @@ class ServiceDaemon:
 
     # -- lifecycle -------------------------------------------------------
 
-    def start(self, run_scheduler: bool = True) -> None:
-        """Start HTTP, the lease reaper (and optionally the scheduler)."""
+    def start(self) -> None:
+        """Start HTTP, the lease reaper and the local worker on threads.
+
+        Boot recovers only *lease-less* ``running`` rows (left by a
+        crashed legacy executor); leased rows are the reaper's business
+        — a live remote worker may still hold them.
+        """
         self._http_thread = threading.Thread(
             target=self.server.serve_forever, name="repro-service-http", daemon=True
         )
         self._http_thread.start()
-        self._start_reaper()
-        if run_scheduler:
-            self._scheduler_thread = threading.Thread(
-                target=self.scheduler.run, name="repro-service-scheduler", daemon=True
+        self._reaper_thread = threading.Thread(
+            target=self._reaper_loop, name="repro-service-reaper", daemon=True
+        )
+        self._reaper_thread.start()
+        orphans = self.store.recover_orphans(only_leaseless=True)
+        self.stats.orphans_recovered += len(orphans)
+        self.log.event(
+            "scheduler_started",
+            workers=self.worker.concurrency if self.worker else 0,
+            orphans_recovered=len(orphans),
+        )
+        if self.worker is not None:
+            self._worker_thread = threading.Thread(
+                target=self.worker.run, name="repro-service-worker", daemon=True
             )
-            self._scheduler_thread.start()
+            self._worker_thread.start()
 
     def run(self) -> None:
-        """Blocking serve loop for the CLI: HTTP on a thread, scheduler here."""
-        self._http_thread = threading.Thread(
-            target=self.server.serve_forever, name="repro-service-http", daemon=True
-        )
-        self._http_thread.start()
-        self._start_reaper()
-        try:
-            self.scheduler.run()
-        finally:
-            self._stop_reaper()
-            self._stop_http()
-            self.store.close()
+        """Blocking serve loop for the CLI: serve until stopped, then drain."""
+        self.start()
+        while not self._stop.wait(0.2):
+            pass
+        self.stop()
 
     def request_stop(self) -> None:
         """Signal-handler hook: begin graceful drain."""
-        self.scheduler.request_stop()
+        self._stop.set()
+        if self.worker is not None:
+            self.worker.request_stop()
 
-    def stop(self, timeout: float = 30.0) -> None:
-        """Stop background threads started by :meth:`start` and close up."""
-        self.scheduler.request_stop()
-        if self._scheduler_thread is not None:
-            self._scheduler_thread.join(timeout)
-            self._scheduler_thread = None
-        self._stop_reaper()
-        self._stop_http()
-        self.store.close()
+    def stop(self, timeout: Optional[float] = None) -> None:
+        """Drain and stop everything :meth:`start` started; close up.
 
-    def _stop_http(self) -> None:
+        The local worker's drain is bounded by its ``drain_seconds``; it
+        leaves jobs that outlive it leased, and re-queueing those here
+        (attempt refunded) keeps the guarantee that a stopped daemon
+        leaves no ``running`` rows of its own.
+        """
+        self.request_stop()
+        if self._worker_thread is not None:
+            self._worker_thread.join(timeout)
+            self._worker_thread = None
+        if self.worker is not None:
+            for job in self.store.list_jobs(state=jobstore.RUNNING, limit=-1):
+                if job.worker_id == self.worker.worker_id:
+                    self.store.requeue(job.id, refund_attempt=True)
+                    self.stats.drain_requeued += 1
+                    async_end(
+                        "service.job", job.id, category="service", outcome="drained"
+                    )
+            self.log.event("daemon_drained", requeued=self.stats.drain_requeued)
+        self._reaper_stop.set()
+        if self._reaper_thread is not None:
+            self._reaper_thread.join(5.0)
+            self._reaper_thread = None
         self.server.shutdown()
         self.server.server_close()
         if self._http_thread is not None:
             self._http_thread.join(5.0)
             self._http_thread = None
+        self.store.close()
 
 
 __all__ = [
     "ALLOWED_CONFIG_KEYS",
+    "BACKOFF_FACTOR",
+    "BACKOFF_MAX",
     "IngestError",
     "LeaseLostError",
     "QueueFullError",
     "SERVICE_TOKEN_ENV",
     "ServiceDaemon",
+    "ServiceStats",
     "SubmitError",
-    "TokenBucketLimiter",
     "WorkerProtocolError",
     "WorkerTracker",
 ]

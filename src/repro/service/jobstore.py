@@ -30,7 +30,7 @@ guards on :meth:`finish`/:meth:`fail` make a worker that lost its
 lease unable to complete a job that has since been handed elsewhere.
 
 The store is safe for concurrent use from the HTTP handler threads,
-the scheduler thread, and the reaper thread of one daemon process (one
+the local worker thread, and the reaper thread of one daemon process (one
 connection guarded by a lock, WAL journal, ``BEGIN IMMEDIATE`` claims).
 """
 
@@ -108,9 +108,14 @@ _MIGRATIONS = (
     ("lease_until", "REAL"),
 )
 
+
+class LeaseLostError(RuntimeError):
+    """The caller no longer holds the job's lease (reaped or re-owned)."""
+
+
 @dataclasses.dataclass
 class Job:
-    """One job row, as seen by the scheduler, API, and CLI."""
+    """One job row, as seen by the workers, API, and CLI."""
 
     id: str
     key: str
@@ -268,7 +273,7 @@ class JobStore:
             self._conn.commit()
         return self.get(job_id), True
 
-    # -- scheduler side --------------------------------------------------
+    # -- worker side -----------------------------------------------------
 
     def claim(
         self,
@@ -446,7 +451,7 @@ class JobStore:
         """Re-queue ``running`` jobs abandoned by a crash (daemon boot).
 
         ``only_leaseless=True`` restricts recovery to rows claimed
-        without a lease (legacy lease-less schedulers): *leased* rows
+        without a lease (legacy lease-less executors): *leased* rows
         are left for the continuous reaper (:meth:`reap_expired`), since
         a live remote worker may still legitimately hold them across a
         daemon restart.  Unlike a graceful drain, the claim's attempt is
@@ -579,6 +584,7 @@ __all__ = [
     "FAILED",
     "Job",
     "JobStore",
+    "LeaseLostError",
     "QUEUED",
     "RUNNING",
     "SERVICE_DB_ENV",

@@ -1,13 +1,15 @@
 """Distributed sweep fabric: leases, remote workers, auth, backpressure.
 
 Covers the jobstore lease/heartbeat/reap protocol, the owner guards on
-``finish``/``fail``, the scheduler timeout fixes, the HTTP worker
-protocol end-to-end (a real :class:`RemoteWorker` draining a daemon
-whose local scheduler is off), token auth, queue-depth backpressure,
-per-client rate limiting, and a hypothesis state machine asserting the
-store's invariants hold under arbitrary operation interleavings.
+``finish``/``fail``, the worker's deadline handling, the HTTP worker
+protocol end-to-end (a real :class:`Worker` draining a daemon that runs
+no local worker), token auth, queue-depth backpressure, and a
+hypothesis state machine asserting the store's invariants hold under
+arbitrary operation interleavings.
 """
 
+import inspect
+import os
 import shutil
 import tempfile
 import threading
@@ -22,10 +24,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.service import jobstore
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import ServiceDaemon, TokenBucketLimiter
-from repro.service.jobstore import JobStore
-from repro.service.scheduler import Scheduler
-from repro.service.worker import RemoteWorker
+from repro.service.daemon import ServiceDaemon
+from repro.service.jobstore import JobStore, LeaseLostError
+from repro.service.worker import Worker, _Flight
 from repro.sim import runner
 from repro.sim.config import bench_config
 from repro.sim.diskcache import DiskCache, cache_key
@@ -246,109 +247,132 @@ class TestJobStoreFixes:
         assert retry.id == job.id and retry.started_at is not None
 
 
-# -- scheduler: timeout fixes --------------------------------------------
+# -- Worker: deadlines ----------------------------------------------------
 
 
 class _FakePool:
-    """Stands in for ProcessPoolExecutor in timeout unit tests."""
+    """Stands in for ProcessPoolExecutor in deadline unit tests."""
 
     def __init__(self):
         self._processes = {}
         self.killed = False
+        self.submitted = []
+
+    def submit(self, fn, args):
+        self.submitted.append(args)
+        future = Future()
+        future.set_running_or_notify_cancel()
+        return future
 
     def shutdown(self, wait=False, cancel_futures=False):
         self.killed = True
 
 
-def make_timeout_scheduler(store, tmp_path):
-    scheduler = Scheduler(
-        store, cache_dir=str(tmp_path / "simcache"), workers=2,
-        backoff_base=0.01,
-    )
-    scheduler._pool = _FakePool()
-    scheduler._new_pool = _FakePool  # rebuilt pools are fakes too
-    return scheduler
+class _FakeQueue:
+    """Records a Worker's queue calls (the daemon's policy is not under test)."""
+
+    def __init__(self):
+        self.finished = {}
+        self.failed = {}
+
+    def claim(self, worker_id, lease_seconds=None):
+        return None
+
+    def heartbeat(self, job_id, worker_id, lease_seconds=None):
+        return None
+
+    def finish(self, job_id, worker_id, result, source="remote"):
+        self.finished[job_id] = source
+
+    def fail(self, job_id, worker_id, error):
+        self.failed[job_id] = error
 
 
-def claim_inflight(store, scheduler, deadline=None):
-    """Claim one job as the scheduler would and plant a fake future."""
-    job = store.claim(worker_id=scheduler.worker_id,
-                      lease_seconds=scheduler.lease_seconds)
+def make_deadline_worker():
+    worker = Worker(_FakeQueue(), worker_id="w-test", concurrency=3)
+    worker._pool = _FakePool()
+    worker._new_pool = _FakePool  # rebuilt pools are fakes too
+    return worker
+
+
+def plant(store, worker, workload, deadline=None):
+    """Claim one job as the worker would and plant a pending future."""
+    submit(store, workload, "ideal")
+    job = store.claim(worker_id=worker.worker_id, lease_seconds=30.0)
     future = Future()
     future.set_running_or_notify_cancel()
-    scheduler._inflight[job.id] = (
-        job, future, deadline, time.perf_counter(),
-        time.time() + scheduler.lease_seconds,
-    )
-    return job, future
+    flight = _Flight(job, (workload,), future, deadline, time.time() + 30.0)
+    worker._inflight[job.id] = flight
+    return job, flight
 
 
 class TestSchedulerTimeouts:
-    def test_completed_future_is_spared_from_timeout(self, store, tmp_path):
-        # The job's deadline passed, but its future finished between the
-        # deadline check and the kill: harvest it, don't kill the pool.
-        submit(store)
-        scheduler = make_timeout_scheduler(store, tmp_path)
-        pool = scheduler._pool
-        job, future = claim_inflight(store, scheduler,
-                                     deadline=time.time() - 1.0)
-        future.set_result((None, "executed", 0.01))
-        assert scheduler._reap()  # harvests, no timeout declared
+    def test_completed_future_is_spared_from_timeout(self, store):
+        # The job's deadline passed, but its future finished before the
+        # check: harvest it, don't kill the pool.
+        worker = make_deadline_worker()
+        pool = worker._pool
+        job, flight = plant(store, worker, "lbm06", deadline=time.time() - 1.0)
+        flight.future.set_result((None, "executed", 0.01))
+        assert worker._harvest()  # harvests, no timeout declared
         assert not pool.killed
-        assert scheduler.stats.timeouts == 0
-        assert scheduler.stats.completed == 1
-        assert store.get(job.id).state == jobstore.DONE
+        assert worker.stats.timeouts == 0
+        assert worker.stats.completed == 1
+        assert worker.queue.finished == {job.id: "executed"}
 
-    def test_every_expired_job_is_reaped_in_one_pass(self, store, tmp_path):
+    def test_every_expired_job_is_reaped_in_one_pass(self, store):
         # Two jobs past their deadline in the same pass: both must be
         # failed, not just the last one the loop happened to remember.
-        submit(store, "lbm06", "ideal", max_attempts=1)
-        submit(store, "mcf06", "ideal", max_attempts=1)
-        scheduler = make_timeout_scheduler(store, tmp_path)
-        pool = scheduler._pool
-        a, _ = claim_inflight(store, scheduler, deadline=time.time() - 1.0)
-        b, _ = claim_inflight(store, scheduler, deadline=time.time() - 1.0)
-        assert scheduler._reap()
+        worker = make_deadline_worker()
+        pool = worker._pool
+        a, _ = plant(store, worker, "lbm06", deadline=time.time() - 1.0)
+        b, _ = plant(store, worker, "mcf06", deadline=time.time() - 1.0)
+        assert worker._harvest()
         assert pool.killed
-        assert scheduler.stats.timeouts == 2
-        assert store.get(a.id).state == jobstore.FAILED
-        assert store.get(b.id).state == jobstore.FAILED
-        assert scheduler._inflight == {}
+        assert worker.stats.timeouts == 2
+        assert set(worker.queue.failed) == {a.id, b.id}
+        assert all("timeout" in error for error in worker.queue.failed.values())
+        assert worker._inflight == {}
 
-    def test_done_bystander_survives_pool_kill(self, store, tmp_path):
+    def test_done_bystander_survives_pool_kill(self, store):
         # One genuinely stuck job forces a pool kill; a bystander whose
-        # future already completed must be harvested afterwards, and a
-        # pending bystander re-queued with its attempt refunded.
-        submit(store, "lbm06", "ideal", max_attempts=1)
-        submit(store, "mcf06", "ideal")
-        submit(store, "xz17", "ideal")
-        scheduler = make_timeout_scheduler(store, tmp_path)
-        stuck, _ = claim_inflight(store, scheduler,
-                                  deadline=time.time() - 1.0)
-        done_by, done_future = claim_inflight(store, scheduler)
-        pending_by, _ = claim_inflight(store, scheduler)
-        done_future.set_result((None, "executed", 0.01))
-        # _reap harvests the done bystander first (it is simply done),
-        # then handles the expired job; drive _on_timeout directly to
-        # model the done-after-deadline-check interleaving.
-        expired = [(stuck, scheduler._inflight[stuck.id][1])]
-        assert scheduler._on_timeout(expired)
-        assert store.get(stuck.id).state == jobstore.FAILED
-        # done bystander: still in flight, harvested on the next pass
-        assert done_by.id in scheduler._inflight
-        assert scheduler._reap()
-        assert store.get(done_by.id).state == jobstore.DONE
-        # pending bystander: requeued with the claim refunded
-        back = store.get(pending_by.id)
-        assert back.state == jobstore.QUEUED
-        assert back.attempts == 0
+        # future already completed must be harvested afterwards.
+        worker = make_deadline_worker()
+        stuck, stuck_flight = plant(store, worker, "lbm06",
+                                    deadline=time.time() - 1.0)
+        done_by, done_flight = plant(store, worker, "mcf06")
+        done_flight.future.set_result((None, "executed", 0.01))
+        # _harvest would report the done bystander first (it is simply
+        # done); drive _on_timeout directly to model the
+        # done-after-deadline-check interleaving.
+        assert worker._on_timeout([stuck_flight])
+        assert "timeout" in worker.queue.failed[stuck.id]
+        assert done_by.id in worker._inflight  # reported next pass
+        assert worker._harvest()
+        assert worker.queue.finished == {done_by.id: "executed"}
+
+    def test_pending_bystander_reruns_under_its_lease(self, store):
+        # A bystander still running when the pool dies is resubmitted to
+        # the new pool: no queue call, so no attempt is charged.
+        worker = make_deadline_worker()
+        _, stuck_flight = plant(store, worker, "lbm06",
+                                deadline=time.time() - 1.0)
+        pending, pending_flight = plant(store, worker, "xz17")
+        old_future = pending_flight.future
+        assert worker._on_timeout([stuck_flight])
+        assert worker._inflight == {pending.id: pending_flight}
+        assert pending_flight.future is not old_future
+        assert worker._pool.submitted == [("xz17",)]
+        assert pending.id not in worker.queue.failed
+        row = store.get(pending.id)
+        assert row.state == jobstore.RUNNING and row.attempts == 1
 
 
 # -- HTTP surface: worker protocol, auth, backpressure -------------------
 
 
-def make_daemon(tmp_path, run_scheduler=False, **kwargs):
-    kwargs.setdefault("workers", 2)
+def make_daemon(tmp_path, **kwargs):
+    kwargs.setdefault("workers", 0)
     kwargs.setdefault("drain_seconds", 30.0)
     daemon = ServiceDaemon(
         db_path=tmp_path / "service.db",
@@ -358,13 +382,13 @@ def make_daemon(tmp_path, run_scheduler=False, **kwargs):
         port=0,
         **kwargs,
     )
-    daemon.start(run_scheduler=run_scheduler)
+    daemon.start()
     return daemon
 
 
 @pytest.fixture
 def paused_daemon(tmp_path):
-    """HTTP + reaper up, local scheduler off: only remote workers drain."""
+    """HTTP + reaper up, no local worker: only remote workers drain."""
     d = make_daemon(tmp_path)
     yield d
     d.stop()
@@ -381,27 +405,31 @@ class TestWorkerProtocolHttp:
         client = ServiceClient(paused_daemon.url)
         job = client.submit("lbm06", "ideal", ops=200, warmup=100)
         claimed = client.claim("w1", lease_seconds=60.0)
-        assert claimed["id"] == job["id"]
-        assert claimed["worker_id"] == "w1"
-        assert claimed["lease_until"] is not None
+        assert claimed.id == job["id"]
+        assert claimed.worker_id == "w1"
+        assert claimed.lease_until is not None
         assert client.claim("w1") is None  # queue drained
         renewed = client.heartbeat(job["id"], "w1", lease_seconds=120.0)
-        assert renewed["lease_until"] > claimed["lease_until"]
+        assert renewed.lease_until > claimed.lease_until
         result = runner.simulate("lbm06", "ideal", CFG, use_cache=False)
-        done = client.upload_result(job["id"], "w1", result, source="remote")
-        assert done["state"] == jobstore.DONE
-        assert done["source"] == "remote"
+        done = client.finish(job["id"], "w1", result, source="remote")
+        assert done.state == jobstore.DONE
+        assert done.source == "remote"
         # the daemon replicated the payload into its own cache
         assert comparable(client.result(job["id"])) == comparable(result)
-        assert DiskCache(tmp_path / "simcache").get(claimed["key"]) is not None
+        assert DiskCache(tmp_path / "simcache").get(claimed.key) is not None
 
     def test_heartbeat_conflicts_for_wrong_worker(self, paused_daemon):
         client = ServiceClient(paused_daemon.url)
         job = client.submit("lbm06", "ideal", ops=200, warmup=100)
         client.claim("w1", lease_seconds=60.0)
         with pytest.raises(ServiceError) as err:
-            client.heartbeat(job["id"], "imposter")
+            client._request(
+                "POST", f"/jobs/{job['id']}/heartbeat", {"worker_id": "imposter"}
+            )
         assert err.value.status == 409
+        with pytest.raises(LeaseLostError):  # what the client maps 409 to
+            client.heartbeat(job["id"], "imposter")
 
     def test_upload_after_reap_conflicts(self, paused_daemon):
         client = ServiceClient(paused_daemon.url)
@@ -409,17 +437,16 @@ class TestWorkerProtocolHttp:
         client.claim("w1", lease_seconds=60.0)
         paused_daemon.store.reap_expired(now=time.time() + 120.0)
         result = runner.simulate("lbm06", "ideal", CFG, use_cache=False)
-        with pytest.raises(ServiceError) as err:
-            client.upload_result(job["id"], "w1", result)
-        assert err.value.status == 409
+        with pytest.raises(LeaseLostError):
+            client.finish(job["id"], "w1", result)
 
     def test_remote_fail_applies_retry_policy(self, paused_daemon):
         client = ServiceClient(paused_daemon.url)
         job = client.submit("lbm06", "ideal", ops=200, warmup=100)
         client.claim("w1", lease_seconds=60.0)
-        failed = client.fail_job(job["id"], "w1", "worker exploded")
-        assert failed["state"] == jobstore.QUEUED  # attempts left: retry
-        assert failed["error"] == "worker exploded"
+        failed = client.fail(job["id"], "w1", "worker exploded")
+        assert failed.state == jobstore.QUEUED  # attempts left: retry
+        assert failed.error == "worker exploded"
         assert paused_daemon.stats.retried == 1
 
     def test_claim_requires_worker_id(self, paused_daemon):
@@ -435,7 +462,7 @@ class TestWorkerProtocolHttp:
             client = ServiceClient(daemon.url)
             job = client.submit("lbm06", "ideal", ops=200, warmup=100)
             claimed = client.claim("w-dead")  # claims, then "crashes"
-            assert claimed["id"] == job["id"]
+            assert claimed.id == job["id"]
             assert wait_for(
                 lambda: daemon.store.get(job["id"]).state == jobstore.QUEUED,
                 timeout=10,
@@ -503,41 +530,16 @@ class TestBackpressure:
         finally:
             daemon.stop()
 
-    def test_rate_limit_throttles_per_client(self, tmp_path):
-        daemon = make_daemon(tmp_path, rate_limit=0.001, rate_burst=2.0)
-        try:
-            client = ServiceClient(daemon.url)
-            client.submit("lbm06", "ideal", ops=200, warmup=100)
-            client.jobs()
-            with pytest.raises(ServiceError) as err:
-                client.jobs()
-            assert err.value.status == 429
-            assert err.value.retry_after > 0
-            assert client.healthz()["ok"]  # health stays scrapeable
-        finally:
-            daemon.stop()
 
-    def test_token_bucket_refills(self):
-        limiter = TokenBucketLimiter(rate=2.0, burst=1.0)
-        ok, _ = limiter.allow("c", now=0.0)
-        assert ok
-        ok, retry_after = limiter.allow("c", now=0.0)
-        assert not ok and retry_after > 0
-        ok, _ = limiter.allow("c", now=0.6)  # 0.6s * 2/s > 1 token
-        assert ok
-        ok, _ = limiter.allow("other", now=0.0)  # separate bucket
-        assert ok
+# -- Worker over HTTP, end-to-end -----------------------------------------
 
 
-# -- RemoteWorker end-to-end ---------------------------------------------
-
-
-def make_worker(daemon, tmp_path, name="w1", **kwargs):
+def make_worker(daemon, tmp_path, name="w1", token=None, **kwargs):
     kwargs.setdefault("concurrency", 2)
     kwargs.setdefault("lease_seconds", 30.0)
     kwargs.setdefault("poll_interval", 0.02)
-    return RemoteWorker(
-        url=daemon.url,
+    return Worker(
+        queue=ServiceClient(daemon.url, token=token),
         worker_id=name,
         cache_dir=str(tmp_path / f"{name}-cache"),
         trace_dir=str(tmp_path / "traces"),
@@ -625,6 +627,56 @@ class TestRemoteWorker:
             assert daemon.store.counts()[jobstore.QUEUED] == 1
         finally:
             daemon.stop()
+
+    def test_remote_worker_enforces_job_deadline(self, tmp_path):
+        daemon = make_daemon(tmp_path, default_timeout=7.0)
+        try:
+            client = ServiceClient(daemon.url)
+            # the daemon stores the resolved deadline on every row
+            assert client.submit("mcf06", "ideal", ops=200, warmup=100)[
+                "timeout"
+            ] == 7.0
+            client.cancel(client.jobs(state=jobstore.QUEUED)[0]["id"])
+            job = client.submit(
+                "lbm06", "ideal", ops=60_000, warmup=100,
+                timeout=0.05, max_attempts=1,
+            )
+            stats = make_worker(daemon, tmp_path, max_jobs=1).run()
+            assert stats.timeouts == 1 and stats.failed == 1
+            final = daemon.store.get(job["id"])
+            assert final.state == jobstore.FAILED
+            assert "timeout" in final.error
+        finally:
+            daemon.stop()
+
+    def test_local_and_remote_jobs_share_one_telemetry_stream(self, tmp_path):
+        daemon = make_daemon(tmp_path, workers=1)
+        try:
+            client = ServiceClient(daemon.url)
+            local = client.submit("lbm06", "ideal", ops=200, warmup=100)
+            client.wait(local["id"], timeout=120)
+            # park the local worker so the next job goes to the remote one
+            daemon.worker.request_stop()
+            daemon._worker_thread.join(60)
+            remote = client.submit("mcf06", "ideal", ops=200, warmup=100)
+            assert make_worker(daemon, tmp_path, max_jobs=1).run().completed == 1
+            assert client.job(remote["id"])["worker_id"] == "w1"
+            assert daemon.metrics()["service.job_seconds"] == 2
+            assert daemon.workers_seen.completions() == {
+                f"local:{os.getpid()}": 1,
+                "w1": 1,
+            }
+        finally:
+            daemon.stop()
+
+
+class TestQueueSignatures:
+    def test_daemon_and_client_expose_the_same_queue(self):
+        # A Worker runs unchanged against either side; keep them in step.
+        for name in ("claim", "heartbeat", "finish", "fail"):
+            assert inspect.signature(
+                getattr(ServiceDaemon, name)
+            ) == inspect.signature(getattr(ServiceClient, name)), name
 
 
 # -- jobstore state machine (property test) ------------------------------

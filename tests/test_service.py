@@ -1,19 +1,20 @@
-"""Unit tests for the job-queue service: store, scheduler, policies.
+"""Unit tests for the job-queue service: store, local execution, policies.
 
 The HTTP surface is covered end-to-end in ``test_service_http.py``;
-here the store and scheduler are exercised directly, including the
-retry/backoff policy, crash-orphan recovery, and the graceful-drain
-guarantee (no ``running`` rows after a stop).
+here the store and the daemon's in-process worker are exercised
+directly, including the retry/backoff policy, crash-orphan recovery,
+deadlines, and the graceful-drain guarantee (no ``running`` rows after
+a stop).
 """
 
-import threading
+import os
 import time
 
 import pytest
 
 from repro.service import jobstore
 from repro.service.jobstore import JobStore
-from repro.service.scheduler import Scheduler, ServiceStats
+from repro.service.daemon import ServiceDaemon, ServiceStats
 from repro.sim import runner
 from repro.sim.config import bench_config
 from repro.sim.diskcache import DiskCache, cache_key
@@ -22,6 +23,8 @@ from repro.workloads import get_workload
 #: Small but real simulation scale (matches the CLI tests).
 OVERRIDES = {"ops_per_core": 200, "warmup_ops": 100}
 CFG = bench_config(**OVERRIDES)
+#: Far longer than any deadline or drain window used below.
+SLOW = {"ops_per_core": 60_000, "warmup_ops": 30_000}
 
 
 def key_for(workload: str, design: str) -> str:
@@ -173,124 +176,137 @@ class TestJobStore:
         assert store.claim() is None
 
 
-def make_scheduler(store, tmp_path, **kwargs):
+def make_daemon(tmp_path, **kwargs):
+    """A daemon whose local Worker is the only executor (not started)."""
     kwargs.setdefault("workers", 1)
-    kwargs.setdefault("poll_interval", 0.02)
     kwargs.setdefault("backoff_base", 0.01)
     kwargs.setdefault("drain_seconds", 60.0)
-    return Scheduler(store, cache_dir=str(tmp_path / "simcache"), **kwargs)
+    return ServiceDaemon(
+        db_path=tmp_path / "jobs.db",
+        cache_dir=tmp_path / "simcache",
+        port=0,
+        **kwargs,
+    )
 
 
-def run_in_thread(scheduler):
-    thread = threading.Thread(target=scheduler.run, daemon=True)
-    thread.start()
-    return thread
-
-
-def stop_and_join(scheduler, thread, timeout=60.0):
-    scheduler.request_stop()
-    thread.join(timeout)
-    assert not thread.is_alive(), "scheduler failed to drain in time"
+def stop_and_join(daemon, timeout=60.0):
+    thread = daemon._worker_thread
+    daemon.stop(timeout)
+    assert not thread.is_alive(), "local worker failed to drain in time"
 
 
 class TestScheduler:
-    def test_executes_job_and_writes_shared_cache(self, store, tmp_path):
-        job, _ = submit(store)
-        scheduler = make_scheduler(store, tmp_path)
-        thread = run_in_thread(scheduler)
+    """The daemon's in-process Worker executing straight from the store."""
+
+    def test_executes_job_and_writes_shared_cache(self, tmp_path):
+        daemon = make_daemon(tmp_path)
+        job, _ = submit(daemon.store)
+        daemon.start()
         try:
-            assert wait_for(lambda: store.get(job.id).terminal)
+            assert wait_for(lambda: daemon.store.get(job.id).terminal)
+            done = daemon.store.get(job.id)
         finally:
-            stop_and_join(scheduler, thread)
-        done = store.get(job.id)
+            stop_and_join(daemon)
         assert done.state == jobstore.DONE
         assert done.source == "executed"
+        assert done.worker_id == f"local:{os.getpid()}"
         cached = DiskCache(tmp_path / "simcache").get(job.key)
         assert cached is not None
         direct = runner.simulate("lbm06", "ideal", CFG, use_cache=False)
         a, b = cached.to_json_dict(), direct.to_json_dict()
         a["extras"].pop("sim_seconds"), b["extras"].pop("sim_seconds")
         assert a == b
-        assert scheduler.stats.completed == 1
+        assert daemon.stats.completed == 1
+        assert daemon.worker.stats.completed == 1
 
-    def test_unknown_workload_fails_terminally(self, store, tmp_path):
-        job, _ = store.submit("no_such_workload", "ideal", "k1", config={})
-        scheduler = make_scheduler(store, tmp_path)
-        thread = run_in_thread(scheduler)
+    def test_unknown_workload_fails_terminally(self, tmp_path):
+        daemon = make_daemon(tmp_path)
+        job, _ = daemon.store.submit("no_such_workload", "ideal", "k1", config={})
+        daemon.start()
         try:
-            assert wait_for(lambda: store.get(job.id).terminal, timeout=30)
+            assert wait_for(lambda: daemon.store.get(job.id).terminal, timeout=30)
+            failed = daemon.store.get(job.id)
         finally:
-            stop_and_join(scheduler, thread)
-        failed = store.get(job.id)
+            stop_and_join(daemon)
         assert failed.state == jobstore.FAILED
         assert "unknown workload" in failed.error
-        assert scheduler.stats.failed == 1
-        assert scheduler.stats.retried == 0
+        assert failed.attempts == 1
+        assert daemon.stats.failed == 1
+        assert daemon.stats.retried == 0
+        assert daemon.worker.stats.invalid == 1
 
-    def test_worker_error_retries_then_fails(self, store, tmp_path):
-        # A design the simulator cannot build fails inside the worker,
-        # exercising the retry/backoff path rather than dispatch validation.
-        job, _ = store.submit(
+    def test_worker_error_retries_then_fails(self, tmp_path):
+        # A design the simulator cannot build fails inside the pool,
+        # exercising the retry/backoff path rather than resolution.
+        daemon = make_daemon(tmp_path)
+        job, _ = daemon.store.submit(
             "lbm06", "warp_drive", "k2", config=OVERRIDES, max_attempts=2
         )
-        scheduler = make_scheduler(store, tmp_path)
-        thread = run_in_thread(scheduler)
+        daemon.start()
         try:
-            assert wait_for(lambda: store.get(job.id).terminal)
+            assert wait_for(lambda: daemon.store.get(job.id).terminal)
+            failed = daemon.store.get(job.id)
         finally:
-            stop_and_join(scheduler, thread)
-        failed = store.get(job.id)
+            stop_and_join(daemon)
         assert failed.state == jobstore.FAILED
         assert failed.attempts == 2
-        assert scheduler.stats.retried == 1
-        assert scheduler.stats.failed == 1
+        assert daemon.stats.retried == 1
+        assert daemon.stats.failed == 1
 
-    def test_orphan_recovery_completes_job(self, store, tmp_path):
-        job, _ = submit(store)
-        store.claim()  # a previous daemon "crashed" holding this job
-        assert store.counts()[jobstore.RUNNING] == 1
-        scheduler = make_scheduler(store, tmp_path)
-        thread = run_in_thread(scheduler)
+    def test_orphan_recovery_completes_job(self, tmp_path):
+        daemon = make_daemon(tmp_path)
+        job, _ = submit(daemon.store)
+        daemon.store.claim()  # a previous daemon "crashed" holding this job
+        assert daemon.store.counts()[jobstore.RUNNING] == 1
+        daemon.start()
         try:
-            assert wait_for(lambda: store.get(job.id).terminal)
+            assert wait_for(lambda: daemon.store.get(job.id).terminal)
+            state = daemon.store.get(job.id).state
         finally:
-            stop_and_join(scheduler, thread)
-        assert scheduler.stats.orphans_recovered == 1
-        assert store.get(job.id).state == jobstore.DONE
+            stop_and_join(daemon)
+        assert daemon.stats.orphans_recovered == 1
+        assert state == jobstore.DONE
 
-    def test_graceful_drain_leaves_no_running_rows(self, store, tmp_path):
-        # Enough work that a stop request lands mid-batch.
-        for workload in ("lbm06", "mcf06", "xz17"):
-            for design in ("ideal", "uncompressed"):
-                submit(store, workload, design)
-        scheduler = make_scheduler(store, tmp_path, workers=2)
-        thread = run_in_thread(scheduler)
-        wait_for(lambda: scheduler.inflight > 0, timeout=30)
-        stop_and_join(scheduler, thread)
-        counts = store.counts()
-        assert counts[jobstore.RUNNING] == 0
-        # every job either finished or went back to the queue intact
-        for job in store.list_jobs():
-            assert job.state in (jobstore.DONE, jobstore.QUEUED)
-            if job.state == jobstore.QUEUED:
-                assert job.attempts == 0  # drained claims are refunded
-
-    def test_timeout_fails_job_with_deadline_error(self, store, tmp_path):
-        slow = {"ops_per_core": 60_000, "warmup_ops": 30_000}
-        slow_key = cache_key(get_workload("lbm06"), "ideal", bench_config(**slow))
-        job, _ = store.submit(
-            "lbm06", "ideal", slow_key, config=slow, max_attempts=1, timeout=0.05
+    def test_graceful_drain_leaves_no_running_rows(self, tmp_path):
+        # A zero grace period: the job still running at the stop is left
+        # leased by the worker, and the daemon re-queues it refunded.
+        daemon = make_daemon(tmp_path, workers=2, drain_seconds=0.0)
+        slow, _ = daemon.store.submit(
+            "lbm06", "ideal", "k-slow", config=SLOW, max_attempts=1
         )
-        scheduler = make_scheduler(store, tmp_path)
-        thread = run_in_thread(scheduler)
+        for workload in ("lbm06", "mcf06", "xz17"):
+            submit(daemon.store, workload, "uncompressed")
+        daemon.start()
+        assert wait_for(lambda: daemon.store.get(slow.id).state == jobstore.RUNNING)
+        store_path = daemon.store.path
+        stop_and_join(daemon)
+        store = JobStore(store_path)
         try:
-            assert wait_for(lambda: store.get(job.id).terminal, timeout=60)
+            assert store.counts()[jobstore.RUNNING] == 0
+            # every job either finished or went back to the queue intact
+            for job in store.list_jobs():
+                assert job.state in (jobstore.DONE, jobstore.QUEUED)
+                if job.state == jobstore.QUEUED:
+                    assert job.attempts == 0  # drained claims are refunded
+            assert store.get(slow.id).state == jobstore.QUEUED
         finally:
-            stop_and_join(scheduler, thread)
-        failed = store.get(job.id)
+            store.close()
+        assert daemon.stats.drain_requeued >= 1
+
+    def test_timeout_fails_job_with_deadline_error(self, tmp_path):
+        daemon = make_daemon(tmp_path)
+        job, _ = daemon.store.submit(
+            "lbm06", "ideal", "k-slow", config=SLOW, max_attempts=1, timeout=0.05
+        )
+        daemon.start()
+        try:
+            assert wait_for(lambda: daemon.store.get(job.id).terminal, timeout=60)
+            failed = daemon.store.get(job.id)
+        finally:
+            stop_and_join(daemon)
         assert failed.state == jobstore.FAILED
         assert "timeout" in failed.error
-        assert scheduler.stats.timeouts >= 1
+        assert daemon.worker.stats.timeouts >= 1
 
 
 class TestServiceStatsRegistry:

@@ -1,6 +1,6 @@
 """End-to-end tests over the service's HTTP API.
 
-A real daemon (HTTP server + scheduler threads + SQLite store + disk
+A real daemon (HTTP server + local worker thread + SQLite store + disk
 cache) is booted on an ephemeral port inside the test process and
 driven through :class:`repro.service.client.ServiceClient` — the same
 path the CLI verbs use.
@@ -34,7 +34,7 @@ def _isolated_runner(tmp_path, monkeypatch):
     runner.configure_disk_cache(enabled=False)
 
 
-def make_daemon(tmp_path, run_scheduler=True, **kwargs):
+def make_daemon(tmp_path, **kwargs):
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("drain_seconds", 30.0)
     daemon = ServiceDaemon(
@@ -44,7 +44,7 @@ def make_daemon(tmp_path, run_scheduler=True, **kwargs):
         port=0,
         **kwargs,
     )
-    daemon.start(run_scheduler=run_scheduler)
+    daemon.start()
     return daemon
 
 
@@ -57,8 +57,8 @@ def daemon(tmp_path):
 
 @pytest.fixture
 def paused_daemon(tmp_path):
-    """HTTP up, scheduler off: queued jobs stay queued."""
-    d = make_daemon(tmp_path, run_scheduler=False)
+    """HTTP up, no local worker: queued jobs stay queued."""
+    d = make_daemon(tmp_path, workers=0)
     yield d
     d.stop()
 
@@ -99,7 +99,7 @@ class TestRoundTrip:
 
     def test_restart_recovers_orphaned_job(self, tmp_path):
         # Daemon 1 "crashes" with the job claimed (running row left behind).
-        first = make_daemon(tmp_path, run_scheduler=False)
+        first = make_daemon(tmp_path, workers=0)
         client = ServiceClient(first.url)
         job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP)
         assert first.store.claim() is not None
@@ -163,11 +163,12 @@ class TestApiSurface:
             client.submit("no_such_workload", "ideal")
         assert err.value.status == 400
 
-    def test_healthz(self, paused_daemon):
-        health = ServiceClient(paused_daemon.url).healthz()
+    def test_healthz(self, daemon):
+        health = ServiceClient(daemon.url).healthz()
         assert health["ok"] is True
         assert set(jobstore.STATES) <= set(health["queue"])
-        assert health["workers"] == 2
+        assert health["workers"] == 2  # the local worker's concurrency
+        assert health["inflight"] == 0 and health["draining"] is False
 
     def test_metrics_exposes_service_and_runner_paths(self, daemon):
         client = ServiceClient(daemon.url)

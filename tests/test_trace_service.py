@@ -1,6 +1,6 @@
 """End-to-end tests for trace ingestion and replay through the service.
 
-A real daemon (HTTP + scheduler + SQLite + disk cache + trace store) is
+A real daemon (HTTP + local worker + SQLite + disk cache + trace store) is
 booted on an ephemeral port and driven through ``ServiceClient`` — the
 same path ``repro trace ingest --url`` and trace-backed ``repro
 submit`` use.
