@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Record/replay and DMA: the infrastructure around the simulator.
 
-1. records a workload's access trace to a portable binary file;
-2. replays it through two different memory designs, byte-for-byte the
-   same stream, and compares the outcomes;
+1. records a workload's access trace into a content-addressed trace
+   store (the canonical ``repro.traces`` format: kinds and addresses);
+2. replays it through two different memory designs — the same
+   addresses, kinds and write data as the recording, with the timing
+   gaps re-synthesized — and compares the outcomes;
 3. drives a cache-coherent DMA agent against PTMC-compressed memory
    (paper §VI-G: every access goes through the controller, so DMA and
    multi-socket traffic are transparently supported).
@@ -14,49 +16,61 @@ Usage::
 """
 
 import tempfile
-import pathlib
 
 from repro.analysis import banner, format_table
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.core.ptmc import PTMCController
 from repro.core.uncompressed import UncompressedController
 from repro.cpu.core import CoreModel
-from repro.cpu.tracefile import load_trace, record_workload
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.sim.dma import DMAAgent
+from repro.traces import TraceReplayGenerator, TraceWorkload, configure_trace_store
 from repro.vm.page_table import PageTable
 from repro.workloads import get_workload
+from repro.workloads.generators import WorkloadTraceGenerator
 
+NUM_OPS = 6000
 HIER = HierarchyConfig(num_cores=1, l1_bytes=8 * 1024, l2_bytes=32 * 1024, l3_bytes=128 * 1024)
 
 
-def replay(trace_path, controller_cls):
+def replay(trace, controller_cls):
     memory = PhysicalMemory(1 << 20)
     dram = DRAMSystem()
     controller = controller_cls(memory, dram)
     hierarchy = CacheHierarchy(controller, HIER)
-    core = CoreModel(0, load_trace(trace_path), hierarchy, PageTable(1 << 20))
+    records = TraceReplayGenerator(trace, 0).generate(NUM_OPS)
+    core = CoreModel(0, records, hierarchy, PageTable(1 << 20))
     while core.step():
         pass
     return core, dram, controller, hierarchy
 
 
 def main() -> None:
-    workload = get_workload("milc06")
+    spec = get_workload("milc06")
     with tempfile.TemporaryDirectory() as tmp:
-        trace_path = pathlib.Path(tmp) / "milc06.trc.gz"
+        store = configure_trace_store(tmp)
 
         print(banner("1. Record"))
-        count = record_workload(workload, core_id=0, num_ops=6000, path=trace_path)
-        size_kb = trace_path.stat().st_size / 1024
-        print(f"recorded {count} accesses of '{workload.name}' "
-              f"to {trace_path.name} ({size_kb:.0f} KiB compressed)")
+        recorded = WorkloadTraceGenerator(spec, 0).generate(NUM_OPS)
+        info, _ = store.ingest_records(
+            [(r.is_write, r.vline) for r in recorded], name=spec.name
+        )
+        print(f"recorded {info.records} accesses of '{spec.name}' "
+              f"({info.unique_lines} distinct lines) as trace {info.hash[:12]}")
+        trace = TraceWorkload(
+            name=f"trace:{info.hash[:12]}",
+            trace_hash=info.hash,
+            seed=spec.seed,
+            mean_gap=spec.mean_gap,
+            profile=spec.profile,
+            write_scramble=spec.write_scramble,
+        )
 
         print(banner("2. Replay through two designs"))
         rows = []
         for name, cls in (("uncompressed", UncompressedController), ("ptmc", PTMCController)):
-            core, dram, _, hierarchy = replay(trace_path, cls)
+            core, dram, _, hierarchy = replay(trace, cls)
             rows.append([
                 name,
                 core.time,
@@ -67,7 +81,7 @@ def main() -> None:
         print("identical input stream; the designs differ only in the memory system")
 
         print(banner("3. DMA against compressed memory"))
-        core, dram, controller, hierarchy = replay(trace_path, PTMCController)
+        core, dram, controller, hierarchy = replay(trace, PTMCController)
         dma = DMAAgent(controller, hierarchy.llc_view, core_id=7)
         page_table = core.page_table
         start = page_table.translate(0, 0)

@@ -23,9 +23,9 @@ from repro.compression.hybrid import HybridCompressor
 from repro.core import address_map
 from repro.core.base_controller import DECOMPRESSION_LATENCY, LLCView, MemoryController
 from repro.core.packing import payload_budget
-from repro.core.types import Category, Level, ReadResult, WriteResult
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
+from repro.types import Category, Level, ReadResult, WriteResult
 
 
 class IdealTMCController(MemoryController):
@@ -65,17 +65,18 @@ class IdealTMCController(MemoryController):
                 return False
         return True
 
+    def _oracle_level(self, addr: int) -> Level:
+        """Densest Fig. 3 level the group's current data fits: 4:1, 2:1, or none."""
+        if self._fits(address_map.group_lines(addr), Level.QUAD):
+            return Level.QUAD
+        if self._fits(address_map.pair_lines(addr), Level.PAIR):
+            return Level.PAIR
+        return Level.UNCOMPRESSED
+
     def read_line(self, addr: int, now: int, core_id: int, llc: LLCView) -> ReadResult:
         completion = self.dram.access(addr, now, Category.DATA_READ)
-        group = address_map.group_lines(addr)
-        if self._fits(group, Level.QUAD):
-            co_fetched, level = group, Level.QUAD
-        else:
-            pair = address_map.pair_lines(addr)
-            if self._fits(pair, Level.PAIR):
-                co_fetched, level = pair, Level.PAIR
-            else:
-                co_fetched, level = [addr], Level.UNCOMPRESSED
+        level = self._oracle_level(addr)
+        co_fetched = address_map.slot_members(address_map.location_for(addr, level), level)
         extras = {m: self.memory.read(m) for m in co_fetched if m != addr}
         if level is not Level.UNCOMPRESSED:
             completion += self.decompression_latency
@@ -101,15 +102,9 @@ class IdealTMCController(MemoryController):
         if not evicted.dirty:
             return WriteResult()  # clean evictions are free, as in the baseline
         self.memory.write(evicted.addr, evicted.data)
-        group = address_map.group_lines(evicted.addr)
-        if self._fits(group, Level.QUAD):
-            slot, credit = address_map.group_base(evicted.addr), 3
-        else:
-            pair = address_map.pair_lines(evicted.addr)
-            if self._fits(pair, Level.PAIR):
-                slot, credit = address_map.pair_base(evicted.addr), 1
-            else:
-                slot, credit = evicted.addr, 0
+        level = self._oracle_level(evicted.addr)
+        slot = address_map.location_for(evicted.addr, level)
+        credit = int(level) - 1  # later member writes the combined write covers
         remaining = self._write_credit.get(slot, 0)
         if remaining > 0:
             self._write_credit[slot] = remaining - 1

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.types import Level
 from repro.telemetry import StatScope
+from repro.types import Level
 from repro.util.hashing import mix64
 
 LINES_PER_PAGE = 64

@@ -20,16 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.cache.cache import Cache, EvictedLine
+from repro.cache.cache import EvictedLine
 from repro.compression.base import LINE_SIZE, CompressionAlgorithm
 from repro.compression.hybrid import HybridCompressor
-from repro.core.base_controller import DECOMPRESSION_LATENCY, LLCView, MemoryController
-from repro.types import Category, Level, ReadResult, WriteResult
+from repro.core.base_controller import DECOMPRESSION_LATENCY, LLCView
+from repro.core.metadata_table import TableMetadataController
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.telemetry import StatScope
-
-_PLACEHOLDER = b"\x00" * 64
+from repro.types import Category, Level, ReadResult, WriteResult
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class MemZipConfig:
     decompression_latency: int = DECOMPRESSION_LATENCY
 
 
-class MemZipController(MemoryController):
+class MemZipController(TableMetadataController):
     """Per-line compressed storage with variable burst lengths."""
 
     name = "memzip"
@@ -54,35 +53,10 @@ class MemZipController(MemoryController):
         compressor: Optional[CompressionAlgorithm] = None,
         config: MemZipConfig = MemZipConfig(),
     ) -> None:
-        super().__init__(memory, dram)
-        self.config = config
+        super().__init__(memory, dram, config, "memzip_metadata")
         self.compressor = compressor if compressor is not None else HybridCompressor()
         #: burst count (8-byte beats, 1..8) per line; authoritative table
         self._bursts: Dict[int, int] = {}
-        self.metadata_cache = Cache(
-            config.cache_bytes, config.cache_ways, name="memzip_metadata"
-        )
-
-    # Metadata plumbing ----------------------------------------------------
-
-    def _metadata_addr(self, line_addr: int) -> int:
-        index = line_addr // self.config.lines_per_metadata_slot
-        return self.memory.capacity_lines - 1 - index
-
-    def _touch_metadata(self, line_addr: int, now: int, dirty: bool) -> None:
-        meta_addr = self._metadata_addr(line_addr)
-        hit = self.metadata_cache.lookup(meta_addr)
-        if hit is not None:
-            hit.dirty = hit.dirty or dirty
-            return
-        self.dram.access(meta_addr, now, Category.METADATA_READ)
-        victim = self.metadata_cache.fill(meta_addr, _PLACEHOLDER, dirty=dirty)
-        if victim is not None and victim.dirty:
-            self.dram.access(victim.addr, now, Category.METADATA_WRITE)
-
-    @property
-    def metadata_hit_rate(self) -> float:
-        return self.metadata_cache.hit_rate
 
     def register_stats(self, scope: StatScope) -> None:
         """Expose the metadata cache (``memzip.metadata_cache.*``).
@@ -141,6 +115,3 @@ class MemZipController(MemoryController):
         self.memory.write(evicted.addr, slot)
         self._touch_metadata(evicted.addr, now, dirty=bursts != previous)
         return WriteResult(writes=1)
-
-    def storage_bits(self) -> Dict[str, int]:
-        return {"metadata_cache": self.config.cache_bytes * 8}

@@ -16,20 +16,23 @@ capturing the spatial locality the paper grants prior designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cache.cache import Cache, EvictedLine
 from repro.compression.base import CompressionAlgorithm
 from repro.compression.hybrid import HybridCompressor
 from repro.core import address_map
 from repro.core.base_controller import DECOMPRESSION_LATENCY, LLCView, MemoryController
-from repro.core.packing import compress_group, decompress_group
-from repro.core.types import Category, Level, ReadResult, WriteResult
+from repro.core.packing import (
+    LineState,
+    decompress_group,
+    plan_placement,
+    select_units,
+)
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.telemetry import StatScope
-
-_EMPTY_MARKER = b""
+from repro.types import Category, Level, ReadResult, WriteResult
 
 
 @dataclass(frozen=True)
@@ -42,15 +45,54 @@ class MetadataTableConfig:
     decompression_latency: int = DECOMPRESSION_LATENCY
 
 
-@dataclass
-class _LineState:
-    addr: int
-    data: bytes
-    dirty: bool
-    fill_level: Level
+def _no_marker(slot: int, level: Level) -> bytes:
+    """Table-TMC packs slots without a marker: the CSI says how."""
+    return b""
 
 
-class MetadataTableController(MemoryController):
+class TableMetadataController(MemoryController):
+    """Front end of a memory-mapped metadata table with an on-chip cache.
+
+    Shared by the table-based designs (table TMC, MemZip): each metadata
+    line covers ``config.lines_per_metadata_slot`` data lines, the table
+    sits at the top of physical memory, and a metadata-cache miss costs
+    a DRAM access (plus a write-back of a dirty victim).
+    """
+
+    def __init__(
+        self, memory: PhysicalMemory, dram: DRAMSystem, config, cache_name: str
+    ) -> None:
+        super().__init__(memory, dram)
+        self.config = config
+        self.metadata_cache = Cache(config.cache_bytes, config.cache_ways, name=cache_name)
+
+    def _metadata_addr(self, line_addr: int) -> int:
+        """Physical slot of the metadata line covering ``line_addr``."""
+        index = line_addr // self.config.lines_per_metadata_slot
+        return self.memory.capacity_lines - 1 - index
+
+    def _touch_metadata(self, line_addr: int, now: int, dirty: bool) -> None:
+        """Access the metadata through its cache, charging DRAM on miss."""
+        meta_addr = self._metadata_addr(line_addr)
+        hit = self.metadata_cache.lookup(meta_addr)
+        if hit is not None:
+            hit.dirty = hit.dirty or dirty
+            return
+        self.dram.access(meta_addr, now, Category.METADATA_READ)
+        victim = self.metadata_cache.fill(meta_addr, _placeholder, dirty=dirty)
+        if victim is not None and victim.dirty:
+            self.dram.access(victim.addr, now, Category.METADATA_WRITE)
+
+    @property
+    def metadata_hit_rate(self) -> float:
+        return self.metadata_cache.hit_rate
+
+    def storage_bits(self) -> Dict[str, int]:
+        """On-chip cost: the metadata cache dominates."""
+        return {"metadata_cache": self.config.cache_bytes * 8}
+
+
+class MetadataTableController(TableMetadataController):
     """Table-based TMC: CSI in memory + on-chip metadata cache."""
 
     name = "tmc_table"
@@ -62,33 +104,12 @@ class MetadataTableController(MemoryController):
         compressor: Optional[CompressionAlgorithm] = None,
         config: MetadataTableConfig = MetadataTableConfig(),
     ) -> None:
-        super().__init__(memory, dram)
-        self.config = config
+        super().__init__(memory, dram, config, "metadata_cache")
         self.compressor = compressor if compressor is not None else HybridCompressor()
         self._csi: Dict[int, Level] = {}
-        self.metadata_cache = Cache(
-            config.cache_bytes, config.cache_ways, name="metadata_cache"
-        )
         self.clean_writebacks = 0
 
-    # Metadata plumbing ----------------------------------------------------
-
-    def _metadata_addr(self, line_addr: int) -> int:
-        """Physical slot of the metadata line covering ``line_addr``."""
-        index = line_addr // self.config.lines_per_metadata_slot
-        return self.memory.capacity_lines - 1 - index
-
-    def _touch_metadata(self, line_addr: int, now: int, dirty: bool) -> None:
-        """Access the CSI through the metadata cache, charging DRAM on miss."""
-        meta_addr = self._metadata_addr(line_addr)
-        hit = self.metadata_cache.lookup(meta_addr)
-        if hit is not None:
-            hit.dirty = hit.dirty or dirty
-            return
-        self.dram.access(meta_addr, now, Category.METADATA_READ)
-        victim = self.metadata_cache.fill(meta_addr, _placeholder, dirty=dirty)
-        if victim is not None and victim.dirty:
-            self.dram.access(victim.addr, now, Category.METADATA_WRITE)
+    # CSI table ------------------------------------------------------------
 
     def _csi_level(self, addr: int) -> Level:
         return self._csi.get(addr, Level.UNCOMPRESSED)
@@ -102,10 +123,6 @@ class MetadataTableController(MemoryController):
         else:
             self._csi[addr] = level
         return True
-
-    @property
-    def metadata_hit_rate(self) -> float:
-        return self.metadata_cache.hit_rate
 
     def register_stats(self, scope: StatScope) -> None:
         """Expose the metadata cache (``tmc_table.metadata_cache.*``)."""
@@ -140,7 +157,7 @@ class MetadataTableController(MemoryController):
     ) -> WriteResult:
         result = WriteResult()
         gang = self._collect_gang(evicted, llc, result, now)
-        candidates: Dict[int, _LineState] = dict(gang)
+        candidates: Dict[int, LineState] = dict(gang)
         for neighbour in address_map.group_lines(evicted.addr):
             if neighbour in candidates:
                 continue
@@ -148,26 +165,13 @@ class MetadataTableController(MemoryController):
             if resident is not None:
                 # previous residency comes from the authoritative CSI, not
                 # the LLC tag, so skip-write decisions can never desync
-                candidates[neighbour] = _LineState(
+                candidates[neighbour] = LineState(
                     neighbour, resident.data, resident.dirty, self._csi_level(neighbour)
                 )
 
-        units = []
-        for unit in self._plan_placement(evicted.addr, candidates):
-            level, slot, members, packed = unit
-            if level is Level.UNCOMPRESSED and members[0] not in gang:
-                continue
-            if level is not Level.UNCOMPRESSED and not any(m in gang for m in members):
-                continue
-            units.append(unit)
-            if level is not Level.UNCOMPRESSED:
-                for member in members:
-                    if member not in gang:
-                        llc.force_evict(member)
-                        gang[member] = candidates[member]
-                        result.ganged.append(member)
-        result.level = max(
-            (level for level, _, _, _ in units), default=Level.UNCOMPRESSED
+        units = select_units(
+            plan_placement(self.compressor, evicted.addr, candidates, _no_marker),
+            gang, candidates, llc, result,
         )
 
         csi_dirty = False
@@ -179,10 +183,10 @@ class MetadataTableController(MemoryController):
 
     def _collect_gang(
         self, evicted: EvictedLine, llc: LLCView, result: WriteResult, now: int
-    ) -> Dict[int, _LineState]:
+    ) -> Dict[int, LineState]:
         """Ganged eviction driven by the authoritative CSI."""
-        gang: Dict[int, _LineState] = {
-            evicted.addr: _LineState(
+        gang: Dict[int, LineState] = {
+            evicted.addr: LineState(
                 evicted.addr, evicted.data, evicted.dirty, self._csi_level(evicted.addr)
             )
         }
@@ -198,7 +202,7 @@ class MetadataTableController(MemoryController):
                     continue
                 line = llc.force_evict(member)
                 if line is not None:
-                    gang[member] = _LineState(
+                    gang[member] = LineState(
                         member, line.data, line.dirty, self._csi_level(member)
                     )
                     result.ganged.append(member)
@@ -210,37 +214,11 @@ class MetadataTableController(MemoryController):
                         self.compressor, self.memory.read(slot), level
                     )
                     members_all = address_map.slot_members(slot, level)
-                    gang[member] = _LineState(
+                    gang[member] = LineState(
                         member, lines[members_all.index(member)], False, level
                     )
                     frontier.append(member)
         return gang
-
-    def _plan_placement(
-        self, addr: int, candidates: Dict[int, _LineState]
-    ) -> List[Tuple[Level, int, List[int], Optional[bytes]]]:
-        base = address_map.group_base(addr)
-        group = address_map.group_lines(addr)
-        if all(a in candidates for a in group):
-            packed = compress_group(
-                self.compressor, [candidates[a].data for a in group], _EMPTY_MARKER
-            )
-            if packed is not None:
-                return [(Level.QUAD, base, group, packed)]
-        units: List[Tuple[Level, int, List[int], Optional[bytes]]] = []
-        for pair_start in (base, base + 2):
-            pair = [pair_start, pair_start + 1]
-            present = [a for a in pair if a in candidates]
-            if len(present) == 2:
-                packed = compress_group(
-                    self.compressor, [candidates[a].data for a in pair], _EMPTY_MARKER
-                )
-                if packed is not None:
-                    units.append((Level.PAIR, pair_start, pair, packed))
-                    continue
-            for a in present:
-                units.append((Level.UNCOMPRESSED, a, [a], None))
-        return units
 
     def _write_unit(
         self,
@@ -248,7 +226,7 @@ class MetadataTableController(MemoryController):
         slot: int,
         members: List[int],
         packed: Optional[bytes],
-        gang: Dict[int, _LineState],
+        gang: Dict[int, LineState],
         now: int,
         result: WriteResult,
     ) -> bool:
@@ -278,10 +256,7 @@ class MetadataTableController(MemoryController):
             self.clean_writebacks += 1
         return changed
 
-    def storage_bits(self) -> Dict[str, int]:
-        """On-chip cost: the 32KB metadata cache dominates."""
-        return {"metadata_cache": self.config.cache_bytes * 8}
-
 
 _placeholder = b"\x00" * 64
-"""Metadata-cache lines model presence only; contents live in ``_csi``."""
+"""Metadata-cache lines model presence only; the tables live in each
+controller (``_csi`` for table TMC, ``_bursts`` for MemZip)."""

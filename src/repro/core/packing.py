@@ -1,4 +1,4 @@
-"""Packing compressed neighbour lines into a single 64-byte slot.
+"""Packing compressed neighbour lines into 64-byte slots, and where they go.
 
 A compressed slot holds 2 or 4 lines' payloads plus the inline marker
 (paper Fig. 10).  The layout is self-describing given the count implied
@@ -10,14 +10,25 @@ One length byte per member is charged against the 64-byte budget, so a
 pair must compress to ``64 - 4 - 2 = 58`` payload bytes and a quad to
 ``64 - 4 - 4 = 56`` — the spirit of the paper's "60 bytes of usable
 space once the 4-byte marker is reserved".
+
+Placement (paper Fig. 3) is shared by every design that compacts
+groups at LLC eviction: :func:`plan_placement` packs the whole group
+4:1 into its base, else each pair 2:1, else leaves lines at home, and
+:func:`select_units` keeps the units an eviction actually has to write.
+The designs differ only in where the compression status lives: PTMC
+stamps an inline marker into each slot, table-based TMC passes an
+empty marker because its table says how each slot is packed.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compression.base import LINE_SIZE, CompressionAlgorithm, CompressionError
-from repro.core.types import Level
+from repro.core import address_map
+from repro.core.base_controller import LLCView
+from repro.types import Level, WriteResult
 
 
 def payload_budget(level: Level, marker_size: int = 4) -> int:
@@ -107,3 +118,88 @@ def decompress_group(
 ) -> List[bytes]:
     """Recover all member lines of a compressed slot, in group order."""
     return [algorithm.decompress(p) for p in unpack_slot(slot, level)]
+
+
+@dataclass
+class LineState:
+    """A group member's state at eviction-handling time."""
+
+    addr: int
+    data: bytes
+    dirty: bool
+    fill_level: Level
+
+
+#: A placement decision: (level, slot, member addrs, packed slot bytes).
+Unit = Tuple[Level, int, List[int], Optional[bytes]]
+
+
+def plan_placement(
+    compressor: CompressionAlgorithm,
+    addr: int,
+    candidates: Dict[int, LineState],
+    marker: Callable[[int, Level], bytes],
+) -> List[Unit]:
+    """New residency for the candidate lines of ``addr``'s group (Fig. 3).
+
+    4:1 into the group base if the whole group is present and fits, else
+    2:1 per present pair that fits, else each line at its home slot.
+    ``marker(slot, level)`` gives the bytes that end a packed slot.
+    """
+    base = address_map.group_base(addr)
+    group = address_map.group_lines(addr)
+    if all(a in candidates for a in group):
+        packed = compress_group(
+            compressor, [candidates[a].data for a in group], marker(base, Level.QUAD)
+        )
+        if packed is not None:
+            return [(Level.QUAD, base, group, packed)]
+    units: List[Unit] = []
+    for pair_start in (base, base + 2):
+        pair = [pair_start, pair_start + 1]
+        present = [a for a in pair if a in candidates]
+        if len(present) == 2:
+            packed = compress_group(
+                compressor,
+                [candidates[a].data for a in pair],
+                marker(pair_start, Level.PAIR),
+            )
+            if packed is not None:
+                units.append((Level.PAIR, pair_start, pair, packed))
+                continue
+        for a in present:
+            units.append((Level.UNCOMPRESSED, a, [a], None))
+    return units
+
+
+def select_units(
+    units: List[Unit],
+    gang: Dict[int, LineState],
+    candidates: Dict[int, LineState],
+    llc: LLCView,
+    result: WriteResult,
+) -> List[Unit]:
+    """The planned units an eviction writes; sets ``result.level``.
+
+    A unit is kept only if it involves a line leaving the LLC (one in
+    ``gang``): untouched residents keep their LLC lines, and groups
+    unrelated to the victim are not compacted.  Resident partners of a
+    kept compressed unit are gang-evicted from ``llc`` into ``gang``.
+    """
+    kept = []
+    for unit in units:
+        level, _, members, _ = unit
+        if level is Level.UNCOMPRESSED:
+            if members[0] not in gang:
+                continue
+        elif not any(m in gang for m in members):
+            continue
+        kept.append(unit)
+        if level is not Level.UNCOMPRESSED:
+            for member in members:
+                if member not in gang:
+                    llc.force_evict(member)
+                    gang[member] = candidates[member]
+                    result.ganged.append(member)
+    result.level = max((level for level, _, _, _ in kept), default=Level.UNCOMPRESSED)
+    return kept

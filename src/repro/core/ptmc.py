@@ -27,12 +27,19 @@ from repro.core.base_controller import DECOMPRESSION_LATENCY, LLCView, MemoryCon
 from repro.core.lit import LineInversionTable, LITOverflow, LITPolicy
 from repro.core.llp import LineLocationPredictor
 from repro.core.markers import MarkerScheme, SlotKind, invert
-from repro.core.packing import compress_group, decompress_group
+from repro.core.packing import (
+    LineState,
+    Unit,
+    compress_group,
+    decompress_group,
+    plan_placement,
+    select_units,
+)
 from repro.core.policy import AlwaysOnPolicy, CompressionPolicy
-from repro.core.types import Category, Level, ReadResult, WriteResult
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.telemetry import StatScope
+from repro.types import Category, Level, ReadResult, WriteResult
 
 
 @dataclass(frozen=True)
@@ -50,20 +57,6 @@ class PTMCConfig:
     #: a memory-mapped LIT spill (prevents unbounded rekey recursion when
     #: fresh markers keep colliding)
     max_rekeys: int = 3
-
-
-@dataclass
-class _LineState:
-    """A group member's state at eviction-handling time."""
-
-    addr: int
-    data: bytes
-    dirty: bool
-    fill_level: Level
-
-
-#: A placement decision: (level, slot, member addrs, packed slot bytes).
-_Unit = Tuple[Level, int, List[int], Optional[bytes]]
 
 
 class PTMCController(MemoryController):
@@ -225,7 +218,7 @@ class PTMCController(MemoryController):
         # 2. Compaction candidates: the gang plus still-resident group
         #    neighbours ("checks if the neighboring cachelines are present
         #    in the LLC").
-        candidates: Dict[int, _LineState] = dict(gang)
+        candidates: Dict[int, LineState] = dict(gang)
         if enabled:
             for neighbour in address_map.group_lines(evicted.addr):
                 if neighbour in candidates:
@@ -237,30 +230,22 @@ class PTMCController(MemoryController):
                         if self.config.ganged_eviction
                         else self._verified_level(neighbour)
                     )
-                    candidates[neighbour] = _LineState(
+                    candidates[neighbour] = LineState(
                         neighbour, resident.data, resident.dirty, level
                     )
 
-        # 3. Placement: 4:1, else 2:1 per pair, else home slots.  Compressed
-        #    units must involve at least one line that is actually leaving;
+        # 3. Placement (Fig. 3): 4:1, else 2:1 per pair, else home slots.
+        #    With compression disabled (Dynamic-PTMC) existing groups are
+        #    preserved where their data still fits, but none form.  Units
+        #    must involve at least one line that is actually leaving;
         #    untouched residents keep their LLC lines.
-        units = []
-        for unit in self._plan_placement(evicted.addr, candidates, enabled):
-            level, slot, members, packed = unit
-            if level is Level.UNCOMPRESSED and members[0] not in gang:
-                continue  # resident neighbour not compacted: leave it be
-            if level is not Level.UNCOMPRESSED and not any(m in gang for m in members):
-                continue  # don't compact groups unrelated to the victim
-            units.append(unit)
-            if level is not Level.UNCOMPRESSED:
-                for member in members:
-                    if member not in gang:
-                        llc.force_evict(member)  # ganged eviction of partner
-                        gang[member] = candidates[member]
-                        result.ganged.append(member)
-        result.level = max(
-            (level for level, _, _, _ in units), default=Level.UNCOMPRESSED
-        )
+        if enabled:
+            planned = plan_placement(
+                self.compressor, evicted.addr, candidates, self.markers.marker
+            )
+        else:
+            planned = self._plan_preserving(candidates)
+        units = select_units(planned, gang, candidates, llc, result)
 
         # 4. Stale-slot analysis: previous residencies of every placed line
         #    that are not rewritten must be marked invalid (Fig. 13).
@@ -283,15 +268,15 @@ class PTMCController(MemoryController):
 
     def _collect_gang(
         self, evicted: EvictedLine, now: int, llc: LLCView, result: WriteResult
-    ) -> Dict[int, _LineState]:
+    ) -> Dict[int, LineState]:
         """Ganged eviction: pull out every slot-mate of the victim's group.
 
         A slot-mate missing from the LLC — possible only when ganged
         eviction is disabled (ablation, paper footnote 7) — is recovered
         from memory with a read-modify-write access.
         """
-        gang: Dict[int, _LineState] = {
-            evicted.addr: _LineState(
+        gang: Dict[int, LineState] = {
+            evicted.addr: LineState(
                 evicted.addr, evicted.data, evicted.dirty, evicted.fill_level
             )
         }
@@ -309,7 +294,7 @@ class PTMCController(MemoryController):
                 if self.config.ganged_eviction:
                     line = llc.force_evict(member)
                     if line is not None:
-                        gang[member] = _LineState(
+                        gang[member] = LineState(
                             member, line.data, line.dirty, line.fill_level
                         )
                         result.ganged.append(member)
@@ -320,7 +305,7 @@ class PTMCController(MemoryController):
                     # fresher than the memory slot; use it, leave it cached
                     resident = llc.probe(member)
                     if resident is not None:
-                        gang[member] = _LineState(
+                        gang[member] = LineState(
                             member, resident.data, resident.dirty, state.fill_level
                         )
                         frontier.append(member)
@@ -351,7 +336,7 @@ class PTMCController(MemoryController):
 
     def _recover_from_memory(
         self, slot: int, level: Level, member: int, now: int, charge: bool = True
-    ) -> Optional[_LineState]:
+    ) -> Optional[LineState]:
         """Read-modify-write support: pull an uncached slot-mate from DRAM."""
         if charge:
             self.dram.access(slot, now, Category.MAINTENANCE)
@@ -361,55 +346,18 @@ class PTMCController(MemoryController):
             return None  # slot moved on since this line was filled; tag is stale
         members = address_map.slot_members(slot, level)
         lines = decompress_group(self.compressor, raw, level)
-        return _LineState(member, lines[members.index(member)], False, level)
+        return LineState(member, lines[members.index(member)], False, level)
 
-    def _plan_placement(
-        self, addr: int, candidates: Dict[int, _LineState], enabled: bool
-    ) -> List[_Unit]:
-        """Choose the new residency for the candidate lines (Fig. 3).
-
-        With compression disabled (Dynamic-PTMC), existing compressed
-        groups are *preserved* where their data still fits — the paper's
-        point is that inline metadata lets compression be switched off
-        without globally decompressing memory — but no new groups form.
-        """
-        if not enabled:
-            return self._plan_preserving(candidates)
-        base = address_map.group_base(addr)
-        group = address_map.group_lines(addr)
-        if all(a in candidates for a in group):
-            packed = compress_group(
-                self.compressor,
-                [candidates[a].data for a in group],
-                self.markers.marker(base, Level.QUAD),
-            )
-            if packed is not None:
-                return [(Level.QUAD, base, group, packed)]
-        units: List[_Unit] = []
-        for pair_start in (base, base + 2):
-            pair = [pair_start, pair_start + 1]
-            present = [a for a in pair if a in candidates]
-            if len(present) == 2:
-                packed = compress_group(
-                    self.compressor,
-                    [candidates[a].data for a in pair],
-                    self.markers.marker(pair_start, Level.PAIR),
-                )
-                if packed is not None:
-                    units.append((Level.PAIR, pair_start, pair, packed))
-                    continue
-            for a in present:
-                units.append((Level.UNCOMPRESSED, a, [a], None))
-        return units
-
-    def _plan_preserving(self, candidates: Dict[int, _LineState]) -> List[_Unit]:
+    def _plan_preserving(self, candidates: Dict[int, LineState]) -> List[Unit]:
         """Disabled-compression placement: keep existing groups, form none.
 
-        Members that were filled from a compressed slot stay together at
-        that slot as long as their (possibly updated) data still fits;
-        only genuinely incompressible updates force a relocation home.
+        Inline metadata is what lets compression be switched off without
+        globally decompressing memory.  Members that were filled from a
+        compressed slot stay together at that slot as long as their
+        (possibly updated) data still fits; only genuinely incompressible
+        updates force a relocation home.
         """
-        units: List[_Unit] = []
+        units: List[Unit] = []
         grouped: Dict[Tuple[int, Level], List[int]] = {}
         for a, state in candidates.items():
             if state.fill_level is Level.UNCOMPRESSED:
@@ -440,7 +388,7 @@ class PTMCController(MemoryController):
         slot: int,
         members: List[int],
         packed: Optional[bytes],
-        gang: Dict[int, _LineState],
+        gang: Dict[int, LineState],
         now: int,
         sampled: bool,
         core_id: int,
@@ -519,7 +467,7 @@ class PTMCController(MemoryController):
             self.inversions += 1
             return invert(data)
 
-    def _stale_slot_confirmed(self, slot: int, gang: Dict[int, _LineState]) -> bool:
+    def _stale_slot_confirmed(self, slot: int, gang: Dict[int, LineState]) -> bool:
         """Safety net: only invalidate slots that really hold stale copies.
 
         With ganged eviction and accurate LLC tags this always holds; the

@@ -6,14 +6,15 @@ the new 64-byte contents, because compressibility is a property of real
 data values and the whole system under study manipulates real bytes.
 
 Traces come from the synthetic workload generators
-(:mod:`repro.workloads`) or can be built by hand / replayed from lists in
-tests and examples.
+(:mod:`repro.workloads`), from stored traces replayed by
+:mod:`repro.traces` (the only on-disk trace format), or can be built by
+hand from lists in tests and examples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, List, Optional
 
 
 @dataclass(frozen=True)
@@ -46,25 +47,3 @@ def trace_from_lists(
         data = b"\x00" * 64 if is_write else None
         records.append(TraceRecord(gap, is_write, addr, data))
     return records
-
-
-class TraceStats:
-    """Running statistics over a consumed trace."""
-
-    def __init__(self) -> None:
-        self.records = 0
-        self.instructions = 0
-        self.writes = 0
-
-    def observe(self, record: TraceRecord) -> None:
-        self.records += 1
-        self.instructions += record.instructions
-        if record.is_write:
-            self.writes += 1
-
-
-def iter_with_stats(trace: Iterable[TraceRecord], stats: TraceStats) -> Iterator[TraceRecord]:
-    """Yield records while accumulating statistics."""
-    for record in trace:
-        stats.observe(record)
-        yield record

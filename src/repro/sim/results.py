@@ -6,10 +6,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.types import Category
 from repro.dram.system import DRAMStats
 from repro.obs.timeseries import TimeSeries, TimeSeriesDecodeError
 from repro.telemetry import MetricValue
+from repro.types import Category
 
 #: Version of the :class:`SimResult` JSON wire format.  Bump whenever the
 #: serialized shape changes *or* when simulation semantics change enough

@@ -1,6 +1,7 @@
 """Streaming parsers and writers for memory-access trace formats.
 
-Real traces arrive in two shapes (DESIGN.md §12):
+This module is the only code that reads or writes trace bytes.  Real
+traces arrive in two shapes (DESIGN.md §12):
 
 - **Text** — ChampSim/Pin-style records, one access per line::
 
@@ -11,8 +12,8 @@ Real traces arrive in two shapes (DESIGN.md §12):
   The access kind is ``r``/``w`` (case-insensitive; ``read``/``write``
   and ``ld``/``st`` aliases accepted), the address is hex or decimal
   *byte* address, and the optional third field is an access size in
-  bytes — accesses spanning several 64-byte lines expand to one record
-  per line touched.  ``#`` starts a comment.
+  bytes (at most one 4 KiB page) — accesses spanning several 64-byte
+  lines expand to one record per line touched.  ``#`` starts a comment.
 
 - **Binary** — the compact canonical encoding this subsystem stores:
   the :data:`MAGIC` header followed by one ``<BQ`` struct per record
@@ -33,12 +34,18 @@ import struct
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, List, Optional, Tuple
 
+from repro.vm.page_table import LINES_PER_PAGE
+
 #: One canonical access: ``(is_write, line_address)``.  Line addresses
 #: are 64-byte-granular (byte address // 64), matching ``TraceRecord.vline``.
 Access = Tuple[bool, int]
 
 #: Cache-line size the canonical records are normalised to.
 LINE_BYTES = 64
+
+#: Largest access size a text line may give: one 4 KiB page, the VM
+#: model's page.  Bounds how many records a single line expands to.
+MAX_ACCESS_BYTES = LINES_PER_PAGE * LINE_BYTES
 
 #: File header of the canonical binary encoding (versioned).
 MAGIC = b"PTMCTRACEv1\n"
@@ -129,6 +136,10 @@ def parse_text_line(text: str, lineno: int) -> List[Access]:
             raise TraceParseError(f"bad access size {size_text!r}", lineno) from None
         if size < 1:
             raise TraceParseError(f"non-positive access size {size}", lineno)
+        if size > MAX_ACCESS_BYTES:
+            raise TraceParseError(
+                f"access size {size} exceeds one {MAX_ACCESS_BYTES}-byte page", lineno
+            )
     first = address // LINE_BYTES
     last = (address + size - 1) // LINE_BYTES
     if last > MAX_LINE_ADDR:
@@ -244,18 +255,6 @@ def parse_bytes(
         raise ValueError(f"unknown trace format {fmt!r}; choose auto/text/binary")
 
 
-def parse_path(
-    path,
-    fmt: str = "auto",
-    mode: str = "strict",
-    stats: Optional[ParseStats] = None,
-) -> Iterator[Access]:
-    """Parse a trace file from disk (gzip and format auto-detected)."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    yield from parse_bytes(data, fmt=fmt, mode=mode, stats=stats)
-
-
 def format_text(accesses: Iterable[Access]) -> str:
     """Render accesses back as canonical text (one ``r/w 0x... `` per line)."""
     return "".join(
@@ -268,6 +267,7 @@ __all__ = [
     "Access",
     "LINE_BYTES",
     "MAGIC",
+    "MAX_ACCESS_BYTES",
     "ParseStats",
     "TraceParseError",
     "decode_records",
@@ -275,7 +275,6 @@ __all__ = [
     "encode_records",
     "format_text",
     "parse_bytes",
-    "parse_path",
     "parse_text",
     "parse_text_line",
     "sniff_format",

@@ -243,11 +243,6 @@ class TraceChunk:
         return [record.write_data for record in self.records if record.is_write]
 
 
-def initial_line_value(generator: WorkloadTraceGenerator, vline: int) -> bytes:
-    """Version-0 contents of a line (what memory 'contains' at first touch)."""
-    return generator.data.line(vline, 0)
-
-
 def make_mix(name: str, specs, seed: int = 0) -> "MixWorkload":
     return MixWorkload(name, list(specs), seed)
 

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 from repro.compression import HybridCompressor
 from repro.compression.base import CompressionError
 from repro.core.packing import (
+    LineState,
     compress_group,
     decompress_group,
     pack_slot,
     payload_budget,
+    plan_placement,
+    select_units,
     unpack_slot,
 )
-from repro.types import Level
+from repro.types import Level, WriteResult
 from tests.lineutils import pointer_line, small_int_line, zero_line
 
 MARKER = b"\xde\xad\xbe\xef"
@@ -119,6 +122,95 @@ class TestCompressGroup:
         hybrid = HybridCompressor()
         lines = [zero_line(), random_line(random.Random(3))]
         assert compress_group(hybrid, lines, MARKER) is None
+
+
+def candidates(lines):
+    """Eviction-time states for ``{addr: data}`` (dirty, filled uncompressed)."""
+    return {a: LineState(a, data, True, Level.UNCOMPRESSED) for a, data in lines.items()}
+
+
+class RecordingMarker:
+    """A marker function that remembers every ``(slot, level)`` it is asked for."""
+
+    def __init__(self, marker=MARKER):
+        self.marker = marker
+        self.calls = []
+
+    def __call__(self, slot, level):
+        self.calls.append((slot, level))
+        return self.marker
+
+
+POINTERS = [pointer_line(base=0x7F00AA000000 + i * 0x1100000000) for i in range(4)]
+
+
+class TestPlanPlacement:
+    def test_compressible_group_packs_quad_at_base(self):
+        hybrid = HybridCompressor()
+        marker = RecordingMarker()
+        units = plan_placement(
+            hybrid, 10, candidates({8 + i: zero_line() for i in range(4)}), marker
+        )
+        assert [u[:3] for u in units] == [(Level.QUAD, 8, [8, 9, 10, 11])]
+        assert marker.calls == [(8, Level.QUAD)]
+        packed = units[0][3]
+        assert packed[-4:] == MARKER
+        assert decompress_group(hybrid, packed, Level.QUAD) == [zero_line()] * 4
+
+    def test_group_that_does_not_fit_quad_splits_into_pairs(self):
+        marker = RecordingMarker()
+        units = plan_placement(
+            HybridCompressor(), 8, candidates(dict(zip(range(8, 12), POINTERS))), marker
+        )
+        assert [u[:3] for u in units] == [
+            (Level.PAIR, 8, [8, 9]),
+            (Level.PAIR, 10, [10, 11]),
+        ]
+        assert marker.calls == [(8, Level.QUAD), (8, Level.PAIR), (10, Level.PAIR)]
+
+    def test_lone_pair_member_goes_home_uncompressed(self):
+        lines = {8: zero_line(), 9: zero_line(), 11: zero_line()}
+        units = plan_placement(HybridCompressor(), 11, candidates(lines), RecordingMarker())
+        assert [u[:3] for u in units] == [
+            (Level.PAIR, 8, [8, 9]),
+            (Level.UNCOMPRESSED, 11, [11]),
+        ]
+        assert units[1][3] is None
+
+    def test_empty_marker_leaves_no_marker_bytes(self):
+        lines = candidates({8: small_int_line(), 9: small_int_line(start=5)})
+        with_marker = plan_placement(HybridCompressor(), 8, lines, RecordingMarker())
+        table = plan_placement(HybridCompressor(), 8, lines, lambda slot, level: b"")
+        packed, marked = table[0][3], with_marker[0][3]
+        assert table[0][:3] == (Level.PAIR, 8, [8, 9])
+        assert packed[:-4] == marked[:-4]  # same header and payloads
+        assert packed[-4:] == bytes(4)  # padding, no marker
+        assert unpack_slot(packed, Level.PAIR) == unpack_slot(marked, Level.PAIR)
+
+
+class FakeLLC:
+    def __init__(self):
+        self.evicted = []
+
+    def force_evict(self, addr):
+        self.evicted.append(addr)
+
+
+class TestSelectUnits:
+    def test_keeps_units_touching_the_gang_and_gang_evicts_partners(self):
+        lines = candidates({a: zero_line() for a in (8, 9, 10, 11)})
+        gang = {8: lines[8]}
+        units = [
+            (Level.PAIR, 8, [8, 9], b"p"),
+            (Level.UNCOMPRESSED, 10, [10], None),
+            (Level.PAIR, 10, [10, 11], b"q"),
+        ]
+        llc, result = FakeLLC(), WriteResult()
+        kept = select_units(units, gang, lines, llc, result)
+        assert kept == units[:1]
+        assert llc.evicted == [9] and result.ganged == [9]
+        assert sorted(gang) == [8, 9]
+        assert result.level is Level.PAIR
 
 
 @given(

@@ -29,14 +29,22 @@ from repro.traces.formats import (
     parse_text_line,
     sniff_format,
 )
-from repro.traces.replay import TraceWorkload, clear_record_memo, trace_workload
+from repro.traces.replay import (
+    TraceReplayGenerator,
+    TraceWorkload,
+    clear_record_memo,
+    trace_workload,
+)
 from repro.traces.store import (
     TraceStore,
     TraceStoreError,
     configure_trace_store,
     content_hash,
+    trace_store,
 )
+from repro.workloads import get_workload
 from repro.workloads.characterize import reuse_distance_histogram
+from repro.workloads.generators import WorkloadTraceGenerator
 
 CFG = quick_config(ops_per_core=300, warmup_ops=200)
 
@@ -71,8 +79,6 @@ def toy_records(lines=48, hot=6, length=256):
 
 
 def ingest_toy(**kwargs):
-    from repro.traces.store import trace_store
-
     info, created = trace_store().ingest_records(toy_records(), **kwargs)
     return info, created
 
@@ -127,6 +133,22 @@ class TestTextParsing:
             with pytest.raises(TraceParseError):
                 parse_text_line(line, 1)
 
+    def test_access_size_is_bounded_by_one_page(self):
+        # a short line must not expand into an unbounded record list
+        with pytest.raises(TraceParseError, match="exceeds"):
+            parse_text_line("r 0 0x100000", 1)
+        with pytest.raises(TraceParseError):
+            parse_text_line("w 0 0x10000000000", 1)
+        page = parse_text_line(f"r 0x0 {formats.MAX_ACCESS_BYTES}", 1)
+        assert page == [(False, i) for i in range(64)]
+        stats = ParseStats()
+        lines = ["r 0x40", "w 0 0x10000000000", "w 0xc0"]
+        assert list(parse_text(lines, mode="lenient", stats=stats)) == [
+            (False, 1),
+            (True, 3),
+        ]
+        assert stats.errors == 1
+
 
 # ---------------------------------------------------------------------------
 # Binary format + containers
@@ -136,6 +158,10 @@ class TestTextParsing:
 class TestBinaryFormat:
     def test_round_trip(self):
         records = toy_records()
+        assert list(decode_records(io.BytesIO(encode_records(records)))) == records
+
+    def test_largest_line_address_round_trips(self):
+        records = [(False, formats.MAX_LINE_ADDR), (True, 0)]
         assert list(decode_records(io.BytesIO(encode_records(records)))) == records
 
     def test_bad_magic_rejected(self):
@@ -327,6 +353,28 @@ class TestTraceReplay:
         assert g.loops == 0
         # writes synthesized data; reads did not
         assert all((r.write_data is not None) == r.is_write for r in out)
+
+    def test_recorded_workload_replays_same_stream(self):
+        """Record a synthetic spec into the store, then replay it per core:
+        kinds, addresses and write data match; gaps are re-synthesized."""
+        spec = get_workload("milc06")
+        store = trace_store()
+        for core_id in (0, 1):
+            recorded = list(WorkloadTraceGenerator(spec, core_id).generate(6000))
+            info, _ = store.ingest_records([(r.is_write, r.vline) for r in recorded])
+            replay = TraceWorkload(
+                name="recorded",
+                trace_hash=info.hash,
+                seed=spec.seed,
+                mean_gap=spec.mean_gap,
+                profile=spec.profile,
+                write_scramble=spec.write_scramble,
+            )
+            replayed = list(TraceReplayGenerator(replay, core_id).generate(6000))
+            assert [(r.is_write, r.vline, r.write_data) for r in replayed] == [
+                (r.is_write, r.vline, r.write_data) for r in recorded
+            ]
+            assert all(0 <= r.gap <= 2 * spec.mean_gap for r in replayed)
 
     def test_non_loop_trace_exhausts_cleanly(self):
         info, _ = ingest_toy()
