@@ -22,6 +22,7 @@ import pathlib
 
 import pytest
 
+from repro.obs import StatRegistry
 from repro.sim import runner
 from repro.sim.config import bench_config
 
@@ -42,7 +43,14 @@ def pytest_configure(config):
 
 def pytest_terminal_summary(terminalreporter):
     """Report (and persist) how much the result caches saved this session."""
-    stats = runner.execution_stats()
+    registry = StatRegistry()
+    runner.register_stats(registry.scope("runner"))
+    # runner.disk.hits comes after runner.disk_hits, so disk_hits ends up
+    # the disk cache's own count
+    stats = {
+        path[len("runner."):].replace(".", "_"): value
+        for path, value in registry.delta().items()
+    }
     serviced = stats["executed"] + stats["memory_hits"] + stats["disk_hits"]
     if not serviced:
         return

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Union
 
 from repro.cache.replacement import ReplacementPolicy, make_policy
-from repro.telemetry import StatScope
+from repro.obs.stats import StatScope
 from repro.types import Level
 
 

@@ -22,7 +22,7 @@ from typing import List, Optional
 from repro.cache.cache import Cache, CacheLine, EvictedLine
 from repro.core.base_controller import LLCView, MemoryController
 from repro.core.policy import CompressionPolicy
-from repro.telemetry import StatScope
+from repro.obs.stats import StatScope
 from repro.types import Level
 
 

@@ -36,12 +36,12 @@ import time
 
 from repro.analysis import banner, format_metrics, format_table
 from repro.energy import relative_energy
+from repro.obs.stats import StatRegistry
 from repro.sim import runner
 from repro.sim.config import bench_config
 from repro.sim.diskcache import DiskCache
 from repro.sim.runner import compare, simulate
 from repro.sim.system import DESIGNS
-from repro.telemetry import StatRegistry
 from repro.workloads import ALL_64, MEMORY_INTENSIVE, SUITE_BY_NAME, get_workload
 
 #: Suite registry shared with scripts (``repro.workloads.SUITE_BY_NAME``).

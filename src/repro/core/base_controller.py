@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
-from repro.telemetry import StatScope
+from repro.obs.stats import StatScope
 from repro.types import ReadResult, WriteResult
 
 if TYPE_CHECKING:  # import kept lazy to avoid a cache <-> core cycle

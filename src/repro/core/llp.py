@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.telemetry import StatScope
+from repro.obs.stats import StatScope
 from repro.types import Level
 from repro.util.hashing import mix64
 

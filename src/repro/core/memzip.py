@@ -27,7 +27,7 @@ from repro.core.base_controller import DECOMPRESSION_LATENCY, LLCView
 from repro.core.metadata_table import TableMetadataController
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
-from repro.telemetry import StatScope
+from repro.obs.stats import StatScope
 from repro.types import Category, Level, ReadResult, WriteResult
 
 

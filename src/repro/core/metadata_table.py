@@ -31,7 +31,7 @@ from repro.core.packing import (
 )
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
-from repro.telemetry import StatScope
+from repro.obs.stats import StatScope
 from repro.types import Category, Level, ReadResult, WriteResult
 
 

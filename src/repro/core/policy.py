@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.telemetry import StatScope
+from repro.obs.stats import StatScope
 
 
 class CompressionPolicy:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from repro.core.base_controller import LLCView, MemoryController
 from repro.cache.cache import EvictedLine
-from repro.telemetry import StatScope
+from repro.obs.stats import StatScope
 from repro.types import Category, Level, ReadResult, WriteResult
 
 

@@ -17,7 +17,7 @@ from typing import Deque, Iterator
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.trace import TraceRecord
-from repro.telemetry import StatScope
+from repro.obs.stats import StatScope
 from repro.vm.page_table import PageTable
 
 

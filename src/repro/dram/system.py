@@ -19,7 +19,7 @@ from typing import Dict, List
 
 from repro.types import Category
 from repro.dram.timing import DDRTiming, DRAMGeometry
-from repro.telemetry import StatScope
+from repro.obs.stats import StatScope
 
 
 @dataclass

@@ -1,9 +1,13 @@
-"""Observability: time-series sampling, span tracing, standard exposition.
+"""Observability: the stat registry, time-series sampling, span tracing.
 
-Three coordinated layers over the telemetry registry (DESIGN.md §11):
+The one observability package (DESIGN.md §7):
 
+- **Stats** (:mod:`repro.obs.stats`) — the counter/gauge/ratio/histogram
+  kinds and the :class:`StatRegistry` every simulated layer registers
+  into; one ``snapshot()``/``delta()`` pair measures the post-warmup
+  window with no per-component reset or delta code.
 - **Sampling** (:mod:`repro.obs.sampler`) — an :class:`IntervalSampler`
-  snapshots a run's :class:`~repro.telemetry.StatRegistry` every N
+  snapshots a run's :class:`StatRegistry` every N
   line-accesses into a phase-resolved :class:`TimeSeries` carried on
   :class:`~repro.sim.results.SimResult` (``repro timeline`` renders it).
 - **Tracing** (:mod:`repro.obs.tracing`) — ``span()`` context managers
@@ -19,6 +23,18 @@ seven-design golden test proves an instrumented run is bitwise-identical
 to an uninstrumented one.
 """
 
+from repro.obs.stats import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricValue,
+    Metrics,
+    RatioStat,
+    Snapshot,
+    Stat,
+    StatRegistry,
+    StatScope,
+)
 from repro.obs.logging import StructuredLog
 from repro.obs.prometheus import prometheus_exposition
 from repro.obs.sampler import IntervalSampler, ObsConfig
@@ -34,8 +50,18 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
+    "Counter",
+    "Gauge",
+    "Histogram",
     "IntervalSampler",
+    "MetricValue",
+    "Metrics",
     "ObsConfig",
+    "RatioStat",
+    "Snapshot",
+    "Stat",
+    "StatRegistry",
+    "StatScope",
     "StructuredLog",
     "TimeSeries",
     "TimeSeriesDecodeError",

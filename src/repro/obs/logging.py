@@ -30,9 +30,8 @@ from repro.obs import tracing
 class StructuredLog:
     """Newline-delimited JSON event log (thread-safe, optionally off)."""
 
-    def __init__(self, stream: Optional[TextIO] = None, clock=time.time) -> None:
+    def __init__(self, stream: Optional[TextIO] = None) -> None:
         self.stream = stream
-        self.clock = clock
         self._lock = threading.Lock()
 
     @property
@@ -43,7 +42,7 @@ class StructuredLog:
         """Emit one record; returns the serialized line (or ``None`` if off)."""
         if self.stream is None:
             return None
-        record = {"ts": round(self.clock(), 6), "event": event, **fields}
+        record = {"ts": round(time.time(), 6), "event": event, **fields}
         tracer = tracing.current_tracer()
         if tracer is not None:
             record.setdefault("trace_id", tracer.trace_id)

@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-from repro.telemetry import StatRegistry
-from repro.telemetry.stats import Counter, Gauge, Histogram, RatioStat
+from repro.obs.stats import Counter, Gauge, Histogram, RatioStat, StatRegistry
 
 #: Default metric-name prefix (a Prometheus "namespace").
 PREFIX = "repro"

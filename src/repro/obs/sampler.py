@@ -24,11 +24,14 @@ instrumented run is bitwise-identical to an uninstrumented one (the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from repro.obs import tracing
+from repro.obs.stats import StatRegistry
 from repro.obs.timeseries import TimeSeries, TimeSeriesPoint
-from repro.telemetry import StatRegistry
+
+#: Headline counter deltas mirrored onto the active tracer as Chrome
+#: counter-track events, correlating the time series with spans.
+TRACE_COUNTERS = ("dram.reads", "dram.writes", "llc.hits", "llc.misses")
 
 
 @dataclass(frozen=True)
@@ -43,16 +46,6 @@ class ObsConfig:
 
     #: line-accesses between samples; ``0`` disables sampling entirely
     sample_interval: int = 0
-    #: restrict sampled metrics to these registry paths (``None`` = all)
-    sample_paths: Optional[Tuple[str, ...]] = None
-    #: headline counter deltas mirrored onto the active tracer as Chrome
-    #: counter-track events, correlating the time series with spans
-    trace_counters: Tuple[str, ...] = (
-        "dram.reads",
-        "dram.writes",
-        "llc.hits",
-        "llc.misses",
-    )
 
     @property
     def sampling(self) -> bool:
@@ -60,23 +53,14 @@ class ObsConfig:
 
 
 class IntervalSampler:
-    """Snapshots a :class:`StatRegistry` every N line-accesses."""
+    """Snapshots every stat of a :class:`StatRegistry` every N line-accesses."""
 
-    def __init__(
-        self,
-        registry: StatRegistry,
-        interval: int,
-        paths: Optional[Tuple[str, ...]] = None,
-        phase: str = "warmup",
-        trace_counters: Tuple[str, ...] = (),
-    ) -> None:
+    def __init__(self, registry: StatRegistry, interval: int, phase: str = "warmup") -> None:
         if interval <= 0:
             raise ValueError("sampling interval must be positive (0 disables)")
         self.registry = registry
         self.interval = interval
-        self.paths = paths
         self.phase = phase
-        self.trace_counters = trace_counters
         self.accesses = 0
         self._since_sample = 0
         self._base = registry.snapshot()
@@ -116,25 +100,18 @@ class IntervalSampler:
 
     def _sample(self) -> None:
         metrics = self.registry.delta(self._base)
-        if self.paths is not None:
-            metrics = {path: metrics[path] for path in self.paths if path in metrics}
         self._points.append(
             TimeSeriesPoint(accesses=self.accesses, phase=self.phase, metrics=metrics)
         )
         self._base = self.registry.snapshot()
         self._since_sample = 0
-        if self.trace_counters:
-            values = {
-                path: float(metrics[path])
-                for path in self.trace_counters
-                if path in metrics
-            }
-            if values:
-                tracing.counter("sim.sample", values, category="sim")
+        values = {path: float(metrics[path]) for path in TRACE_COUNTERS if path in metrics}
+        if values:
+            tracing.counter("sim.sample", values, category="sim")
 
     def timeseries(self) -> TimeSeries:
         """The series collected so far (points are shared, not copied)."""
         return TimeSeries(interval=self.interval, points=self._points)
 
 
-__all__ = ["IntervalSampler", "ObsConfig"]
+__all__ = ["TRACE_COUNTERS", "IntervalSampler", "ObsConfig"]

@@ -2,7 +2,7 @@
 
 A :class:`TimeSeries` is the sampled view of one simulation run: every
 ``interval`` line-accesses the :class:`~repro.obs.sampler.IntervalSampler`
-snapshots the run's :class:`~repro.telemetry.StatRegistry` and appends a
+snapshots the run's :class:`~repro.obs.StatRegistry` and appends a
 :class:`TimeSeriesPoint` holding the *interval-windowed* metrics —
 counters as deltas since the previous point, gauges as point-in-time
 observations, ratios recomputed over the interval.  Points are tagged
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.telemetry import MetricValue
+from repro.obs.stats import MetricValue
 
 #: Phase tags a point may carry.
 PHASES = ("warmup", "measured")

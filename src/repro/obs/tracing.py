@@ -32,9 +32,9 @@ from typing import Any, Dict, List, Optional
 #: Event phases this tracer emits (a subset of the Chrome format).
 _PHASES = frozenset({"X", "i", "C", "b", "e", "M"})
 
-#: Default bound on buffered events; beyond it new events are dropped
-#: (and counted) so a long-lived daemon cannot grow without bound.
-DEFAULT_MAX_EVENTS = 100_000
+#: Bound on buffered events; beyond it new events are dropped (and
+#: counted) so a long-lived daemon cannot grow without bound.
+MAX_EVENTS = 100_000
 
 
 class Span:
@@ -50,15 +50,9 @@ class Span:
 class Tracer:
     """An in-memory Chrome trace-event collector (thread-safe)."""
 
-    def __init__(
-        self,
-        process_name: str = "repro",
-        trace_id: Optional[str] = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> None:
+    def __init__(self, process_name: str = "repro") -> None:
         self.process_name = process_name
-        self.trace_id = trace_id or uuid.uuid4().hex[:16]
-        self.max_events = max_events
+        self.trace_id = uuid.uuid4().hex[:16]
         self.dropped = 0
         self._origin_ns = time.perf_counter_ns()
         self._events: List[Dict[str, Any]] = []
@@ -71,9 +65,28 @@ class Tracer:
     def _now_us(self) -> float:
         return (time.perf_counter_ns() - self._origin_ns) / 1000.0
 
-    def _emit(self, event: Dict[str, Any]) -> None:
+    def _emit(
+        self,
+        phase: str,
+        name: str,
+        category: str,
+        args: Dict[str, Any],
+        ts: Optional[float] = None,
+        **fields: Any,
+    ) -> None:
+        """Buffer one event of ``phase``; ``fields`` are phase-specific keys."""
+        event = {
+            "name": name,
+            "cat": category,
+            "ph": phase,
+            **fields,
+            "ts": self._now_us() if ts is None else ts,
+            "pid": self._pid,
+            "tid": threading.get_ident(),
+            "args": args,
+        }
         with self._lock:
-            if len(self._events) >= self.max_events:
+            if len(self._events) >= MAX_EVENTS:
                 self.dropped += 1
                 return
             self._events.append(event)
@@ -92,77 +105,25 @@ class Tracer:
         try:
             yield Span(span_id, self.trace_id)
         finally:
-            self._emit(
-                {
-                    "name": name,
-                    "cat": category,
-                    "ph": "X",
-                    "ts": start,
-                    "dur": self._now_us() - start,
-                    "pid": self._pid,
-                    "tid": threading.get_ident(),
-                    "args": {**args, "span_id": span_id, "trace_id": self.trace_id},
-                }
-            )
+            args.update(span_id=span_id, trace_id=self.trace_id)
+            self._emit("X", name, category, args, ts=start, dur=self._now_us() - start)
 
     def instant(self, name: str, category: str = "repro", **args: Any) -> None:
         """A zero-duration marker ("i") at the current time."""
-        self._emit(
-            {
-                "name": name,
-                "cat": category,
-                "ph": "i",
-                "s": "t",
-                "ts": self._now_us(),
-                "pid": self._pid,
-                "tid": threading.get_ident(),
-                "args": dict(args),
-            }
-        )
+        self._emit("i", name, category, args, s="t")
 
     def counter(self, name: str, values: Dict[str, float], category: str = "repro") -> None:
         """A counter track sample ("C"); ``values`` plot as stacked series."""
-        self._emit(
-            {
-                "name": name,
-                "cat": category,
-                "ph": "C",
-                "ts": self._now_us(),
-                "pid": self._pid,
-                "tid": threading.get_ident(),
-                "args": {k: float(v) for k, v in values.items()},
-            }
-        )
+        self._emit("C", name, category, {k: float(v) for k, v in values.items()})
 
     def async_begin(self, name: str, async_id: str, category: str = "repro", **args: Any) -> None:
         """Open an async span ("b") — lifecycles that cross threads/calls."""
-        self._emit(
-            {
-                "name": name,
-                "cat": category,
-                "ph": "b",
-                "id": async_id,
-                "ts": self._now_us(),
-                "pid": self._pid,
-                "tid": threading.get_ident(),
-                "args": {**args, "trace_id": self.trace_id},
-            }
-        )
+        args["trace_id"] = self.trace_id
+        self._emit("b", name, category, args, id=async_id)
 
     def async_end(self, name: str, async_id: str, category: str = "repro", **args: Any) -> None:
         """Close an async span ("e") opened with :meth:`async_begin`."""
-        self._emit(
-            {
-                "name": name,
-                "cat": category,
-                "ph": "e",
-                "id": async_id,
-                "ts": self._now_us(),
-                "pid": self._pid,
-                "tid": threading.get_ident(),
-                "args": dict(args),
-            }
-        )
+        self._emit("e", name, category, args, id=async_id)
 
     # -- export ----------------------------------------------------------
 
@@ -314,7 +275,7 @@ def validate_chrome_trace(payload: Any) -> int:
 
 
 __all__ = [
-    "DEFAULT_MAX_EVENTS",
+    "MAX_EVENTS",
     "Span",
     "Tracer",
     "async_begin",

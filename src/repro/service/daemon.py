@@ -26,12 +26,13 @@ deduplicates twice:
 
 Telemetry registers under ``service.*`` / ``worker.*`` (plus the
 runner's ``runner.*`` and the trace store's ``trace.*`` counters) in one
-:class:`~repro.telemetry.StatRegistry`, surfaced by ``GET /metrics``.
+:class:`~repro.obs.StatRegistry`, surfaced by ``GET /metrics``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import re
 import threading
@@ -40,6 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cache.replacement import POLICIES
 from repro.obs.logging import StructuredLog
+from repro.obs.stats import StatRegistry, StatScope, is_segment
 from repro.obs.tracing import async_begin, async_end
 from repro.service import jobstore
 from repro.service.jobstore import Job, JobStore, LeaseLostError
@@ -53,7 +55,6 @@ from repro.sim import runner
 from repro.sim.diskcache import DiskCache, cache_key
 from repro.sim.results import SimResult
 from repro.sim.system import DESIGNS
-from repro.telemetry import StatRegistry, StatScope
 from repro.traces.formats import TraceParseError
 from repro.traces.store import TraceStore, TraceStoreError, trace_store
 
@@ -140,9 +141,15 @@ class ServiceStats:
 
 
 def _worker_path_segment(worker_id: str) -> str:
-    """A registry-legal path segment for one worker id."""
-    segment = re.sub(r"[^a-z0-9_]", "_", worker_id.lower())
-    return segment or "unknown"
+    """A registry-legal path segment for one worker id.
+
+    A legal id is its own segment.  Any other id is sanitized and gains
+    a digest of the raw id, so ``node-1:42`` and ``node_1:42`` stay apart.
+    """
+    if is_segment(worker_id):
+        return worker_id
+    digest = hashlib.sha256(worker_id.encode()).hexdigest()[:8]
+    return f"{re.sub(r'[^a-z0-9_]', '_', worker_id.lower())}_{digest}"
 
 
 class WorkerTracker:
@@ -160,6 +167,7 @@ class WorkerTracker:
         self._lock = threading.Lock()
         self._last_seen: Dict[str, float] = {}
         self._completed: Dict[str, int] = {}
+        self._segments: set = set()
         self.lease_expirations = 0
         self._scope: Optional[StatScope] = None
 
@@ -180,15 +188,22 @@ class WorkerTracker:
     def completed(self, worker_id: str) -> None:
         self.seen(worker_id)
         with self._lock:
-            register = worker_id not in self._completed and self._scope is not None
+            first = worker_id not in self._completed
             self._completed[worker_id] = self._completed.get(worker_id, 0) + 1
-        if register:
-            # First completion: surface a per-worker counter on /metrics.
-            self._scope.counter(
-                f"completed.{_worker_path_segment(worker_id)}",
-                (lambda w=worker_id: self._completed.get(w, 0)),
-                doc=f"jobs completed by worker {worker_id}",
-            )
+            if first and self._scope is not None:
+                # First completion: surface a per-worker counter on /metrics,
+                # on a segment no other worker id holds.
+                base = segment = _worker_path_segment(worker_id)
+                suffix = 1
+                while segment in self._segments:
+                    suffix += 1
+                    segment = f"{base}_{suffix}"
+                self._segments.add(segment)
+                self._scope.counter(
+                    f"completed.{segment}",
+                    (lambda w=worker_id: self._completed.get(w, 0)),
+                    doc=f"jobs completed by worker {worker_id}",
+                )
 
     def lease_expired(self, worker_id: Optional[str]) -> None:
         self.lease_expirations += 1

@@ -8,10 +8,10 @@ scale with cores.  Workers share the parent's on-disk result cache
 (:mod:`repro.sim.diskcache`), so a re-run — even in a cold process —
 satisfies every job from disk without executing a single simulation.
 
-Entry points mirror the serial runner: :func:`run_batch` executes an
-explicit job list and reports per-run provenance and wall time;
-:func:`sweep` and :func:`suite_geomean` are the parallel counterparts of
-the runner functions of the same names.
+:func:`run_batch` executes an explicit job list — in-process when
+``jobs`` <= 1 — and reports per-run provenance and wall time;
+:func:`sweep` and :func:`suite_geomean` build the paper's speedup
+matrices and suite averages on top of it (the only sweep path).
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def sweep(
     jobs: Optional[int] = None,
     baseline: str = "uncompressed",
 ) -> Dict[str, Dict[str, float]]:
-    """Parallel speedup matrix, identical to the serial runner's."""
+    """Speedup matrix: {workload: {design: weighted speedup over baseline}}."""
     matrix, _ = sweep_with_report(workloads, designs, config, jobs, baseline)
     return matrix
 
@@ -213,7 +213,7 @@ def suite_geomean(
     config: Optional[SimConfig] = None,
     jobs: Optional[int] = None,
 ) -> float:
-    """Parallel geometric-mean weighted speedup over a suite."""
+    """Geometric-mean weighted speedup over a suite (the paper's averages)."""
     matrix, _ = sweep_with_report(workloads, [design], config, jobs)
     return geometric_mean(row[design] for row in matrix.values())
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.dram.system import DRAMStats
+from repro.obs.stats import MetricValue
 from repro.obs.timeseries import TimeSeries, TimeSeriesDecodeError
-from repro.telemetry import MetricValue
 from repro.types import Category
 
 #: Version of the :class:`SimResult` JSON wire format.  Bump whenever the

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.obs.sampler import ObsConfig
 from repro.obs.tracing import span
 from repro.sim.config import SimConfig, bench_config
 from repro.sim.diskcache import DiskCache, cache_key
-from repro.sim.results import SimResult, geometric_mean, weighted_speedup
+from repro.sim.results import SimResult, weighted_speedup
 from repro.sim.system import DESIGNS, SimulatedSystem
 from repro.workloads.suites import Workload, get_workload
 
@@ -37,7 +37,7 @@ _disk: Optional[DiskCache] = None
 
 @dataclass
 class RunnerStats:
-    """Process-wide execution counters (surfaced by the CLI/benchmarks)."""
+    """Process-wide execution counters, exposed by :func:`register_stats`."""
 
     executed: int = 0
     memory_hits: int = 0
@@ -47,17 +47,6 @@ class RunnerStats:
     #: tracked apart from ``sim_seconds`` so replays never masquerade as
     #: simulation time
     hit_seconds: float = 0.0
-    #: wall time of each simulation actually executed, in call order
-    run_seconds: list = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "executed": self.executed,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "sim_seconds": round(self.sim_seconds, 6),
-            "hit_seconds": round(self.hit_seconds, 6),
-        }
 
     def reset(self) -> None:
         self.executed = 0
@@ -65,7 +54,6 @@ class RunnerStats:
         self.disk_hits = 0
         self.sim_seconds = 0.0
         self.hit_seconds = 0.0
-        self.run_seconds.clear()
 
 
 stats = RunnerStats()
@@ -119,7 +107,6 @@ def _execute(
     result.extras["sim_seconds"] = elapsed
     stats.executed += 1
     stats.sim_seconds += elapsed
-    stats.run_seconds.append(elapsed)
     return result
 
 
@@ -228,64 +215,18 @@ def compare(
     return weighted_speedup(result, base)
 
 
-def sweep(
-    workloads: Iterable[Workload],
-    designs: Iterable[str],
-    config: Optional[SimConfig] = None,
-    jobs: Optional[int] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Speedup matrix: {workload: {design: weighted speedup}}.
-
-    ``jobs > 1`` dispatches the runs to a process pool (deterministic
-    seeds make the parallel results bitwise-identical to serial ones).
-    """
-    if jobs is not None and jobs > 1:
-        from repro.sim import parallel
-
-        return parallel.sweep(workloads, designs, config, jobs=jobs)
-    matrix: Dict[str, Dict[str, float]] = {}
-    for workload in workloads:
-        matrix[workload.name] = {
-            design: compare(workload, design, config) for design in designs
-        }
-    return matrix
-
-
-def suite_geomean(
-    workloads: Iterable[Workload],
-    design: str,
-    config: Optional[SimConfig] = None,
-    jobs: Optional[int] = None,
-) -> float:
-    """Geometric-mean weighted speedup over a suite (paper's averages)."""
-    if jobs is not None and jobs > 1:
-        from repro.sim import parallel
-
-        return parallel.suite_geomean(workloads, design, config, jobs=jobs)
-    return geometric_mean(compare(w, design, config) for w in workloads)
-
-
 def clear_cache() -> None:
     """Drop memoized simulation results (frees memory between sweeps)."""
     _memo.clear()
 
 
-def execution_stats() -> Dict[str, float]:
-    """Runner counters plus the disk cache's, for reporting."""
-    payload: Dict[str, float] = dict(stats.as_dict())
-    if _disk is not None:
-        for name, value in _disk.counters.as_dict().items():
-            payload[f"disk_{name}"] = value
-    return payload
-
-
 def register_stats(scope) -> None:
     """Expose the process-wide runner counters under ``scope``.
 
-    Registers the same counts :func:`execution_stats` reports — cache
-    layer hits and executions, plus the disk cache's own counters —
-    as sourced telemetry stats, so ``repro stats`` and the service's
-    ``/metrics`` endpoint surface them uniformly as ``runner.*`` paths.
+    Cache-layer hits and executions, plus the disk cache's own counters,
+    as sourced stats — the one place they are reported: ``repro stats``,
+    the service's ``/metrics`` endpoint and the benchmark session summary
+    all read them as ``runner.*`` paths.
     The disk-cache sources read :func:`disk_cache` dynamically, so a
     later :func:`configure_disk_cache` is picked up without
     re-registering.
@@ -320,12 +261,9 @@ __all__ = [
     "compare",
     "configure_disk_cache",
     "disk_cache",
-    "execution_stats",
     "register_stats",
     "resolve_workload",
     "simulate",
     "simulate_with_source",
     "stats",
-    "suite_geomean",
-    "sweep",
 ]

@@ -20,10 +20,10 @@ from repro.cpu.core import CoreModel
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMStats, DRAMSystem
 from repro.obs.sampler import IntervalSampler, ObsConfig
+from repro.obs.stats import Metrics, StatRegistry
 from repro.obs.tracing import span
 from repro.sim.config import SimConfig
 from repro.sim.results import SimResult
-from repro.telemetry import Metrics, StatRegistry
 from repro.types import Category
 from repro.vm.page_table import LINES_PER_PAGE, PageTable
 from repro.workloads.generators import MixWorkload
@@ -148,9 +148,7 @@ class SimulatedSystem:
         return IntervalSampler(
             self.registry,
             self.obs.sample_interval,
-            paths=self.obs.sample_paths,
             phase="warmup" if self.config.warmup_ops else "measured",
-            trace_counters=self.obs.trace_counters,
         )
 
     def _make_batch(self) -> Optional[BatchCompressor]:

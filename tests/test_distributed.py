@@ -419,6 +419,23 @@ class TestWorkerProtocolHttp:
         assert comparable(client.result(job["id"])) == comparable(result)
         assert DiskCache(tmp_path / "simcache").get(claimed.key) is not None
 
+    def test_sanitized_worker_ids_never_collide(self, paused_daemon):
+        client = ServiceClient(paused_daemon.url)
+        workers = {"node-1:42": "ideal", "node_1:42": "uncompressed"}
+        for worker_id, design in workers.items():
+            client.submit("lbm06", design, ops=200, warmup=100)
+            claimed = client.claim(worker_id, lease_seconds=60.0)
+            result = runner.simulate("lbm06", claimed.design, CFG, use_cache=False)
+            done = client.finish(claimed.id, worker_id, result, source="remote")
+            assert done.state == jobstore.DONE
+        completed = {
+            path: value
+            for path, value in client.metrics().items()
+            if path.startswith("worker.completed.")
+        }
+        assert sorted(completed.values()) == [1, 1]
+        assert paused_daemon.workers_seen.completions() == dict.fromkeys(workers, 1)
+
     def test_heartbeat_conflicts_for_wrong_worker(self, paused_daemon):
         client = ServiceClient(paused_daemon.url)
         job = client.submit("lbm06", "ideal", ops=200, warmup=100)

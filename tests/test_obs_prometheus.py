@@ -11,7 +11,7 @@ import re
 import pytest
 
 from repro.obs.prometheus import CONTENT_TYPE, metric_name, prometheus_exposition
-from repro.telemetry import StatRegistry
+from repro.obs.stats import StatRegistry
 
 #: metric line: name, optional {labels}, a value
 SAMPLE_RE = re.compile(

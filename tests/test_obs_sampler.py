@@ -17,12 +17,12 @@ The invariants under test:
 import pytest
 
 from repro.obs.sampler import IntervalSampler, ObsConfig
+from repro.obs.stats import StatRegistry
 from repro.obs.timeseries import TimeSeries, TimeSeriesDecodeError
 from repro.sim.config import quick_config
 from repro.sim.diskcache import DiskCache, cache_key
 from repro.sim.results import SimResult
 from repro.sim.system import SimulatedSystem
-from repro.telemetry import StatRegistry
 from repro.workloads.generators import spec_like
 
 CFG = quick_config(ops_per_core=400, warmup_ops=200)
@@ -81,10 +81,9 @@ def test_measured_points_partition_the_measured_window():
         assert total == result.metrics[path], path
 
 
-def test_sample_paths_filters_collected_metrics():
-    obs = ObsConfig(sample_interval=500, sample_paths=("dram.reads", "llc.misses"))
-    result = run(obs)
-    assert result.timeseries.paths() == ["dram.reads", "llc.misses"]
+def test_series_records_every_registered_path():
+    result = run(ObsConfig(sample_interval=500))
+    assert sorted(result.timeseries.paths()) == sorted(result.metrics)
 
 
 def test_timeseries_json_round_trip():

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.obs import tracing
 from repro.obs.tracing import (
     Span,
     Tracer,
@@ -76,8 +77,9 @@ def test_to_chrome_envelope_has_metadata_and_trace_id():
     assert payload["otherData"]["dropped_events"] == 0
 
 
-def test_max_events_cap_drops_and_counts():
-    tracer = Tracer(max_events=3)
+def test_max_events_cap_drops_and_counts(monkeypatch):
+    monkeypatch.setattr(tracing, "MAX_EVENTS", 3)
+    tracer = Tracer()
     for index in range(10):
         tracer.instant(f"e{index}")
     assert len(tracer) == 3

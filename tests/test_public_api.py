@@ -26,6 +26,7 @@ def test_top_level_api():
         "repro.sim",
         "repro.energy",
         "repro.analysis",
+        "repro.obs",
     ],
 )
 def test_subpackage_all_exports_resolve(module):

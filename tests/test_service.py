@@ -311,7 +311,7 @@ class TestScheduler:
 
 class TestServiceStatsRegistry:
     def test_counters_and_queue_depth_registered(self, store, tmp_path):
-        from repro.telemetry import StatRegistry
+        from repro.obs.stats import StatRegistry
 
         stats = ServiceStats()
         registry = StatRegistry()
