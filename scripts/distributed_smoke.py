@@ -41,9 +41,20 @@ def fail(message: str) -> None:
 
 
 def spawn(cmd, env, logfile):
+    """Start ``cmd`` as the leader of a new process group (see kill_group)."""
     return subprocess.Popen(
-        cmd, env=env, stdout=logfile, stderr=subprocess.STDOUT, text=True
+        cmd, env=env, stdout=logfile, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True,
     )
+
+
+def kill_group(proc) -> None:
+    """SIGKILL ``proc`` and its pool processes, which outlive a plain kill."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
 
 
 def main() -> None:
@@ -141,7 +152,7 @@ def main() -> None:
         else:
             fail("worker wa never held a leased job")
         held = [j["id"] for j in running_for("wa")]
-        workers["wa"][0].kill()  # SIGKILL: no drain, no goodbye
+        kill_group(workers["wa"][0])  # SIGKILL: no drain, no goodbye
         print(f"killed worker wa while it held {len(held)} lease(s)")
 
         # the reaper must take wa's leases within ~one lease interval:
@@ -228,8 +239,7 @@ def main() -> None:
         print("distributed smoke OK")
     finally:
         for proc, log in workers.values():
-            if proc.poll() is None:
-                proc.kill()
+            kill_group(proc)
             log.close()
         if daemon.poll() is None:
             daemon.kill()

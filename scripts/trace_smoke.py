@@ -11,7 +11,8 @@ Boots ``repro serve`` as a real subprocess on an ephemeral port, then:
    completion, asserting the result carries ``trace.*`` telemetry,
 5. re-submits the same identity and asserts it is served from the
    shared disk cache without execution,
-6. runs the same trace through the local CLI path (``repro trace run``)
+6. runs the same trace through the local CLI path
+   (``repro sweep trace:<hash>``)
    twice against the same cache dir and asserts the second invocation
    executes nothing (disk-cache round-trip across processes),
 7. sends SIGTERM and verifies a clean drain.
@@ -151,7 +152,7 @@ def main() -> None:
         run_args = [
             sys.executable, "-m", "repro",
             "--ops", str(OPS), "--warmup", str(WARMUP),
-            "trace", "run", digest[:12], "--designs", "static_ptmc",
+            "sweep", f"trace:{digest[:12]}", "--designs", "static_ptmc",
         ]
         outputs = []
         for attempt in (1, 2):
@@ -159,18 +160,18 @@ def main() -> None:
                 run_args, env=env, capture_output=True, text=True, timeout=600
             )
             if proc.returncode != 0:
-                fail(f"repro trace run #{attempt} exited {proc.returncode}: "
+                fail(f"repro sweep trace: #{attempt} exited {proc.returncode}: "
                      f"{proc.stdout}\n{proc.stderr}")
             outputs.append(proc.stdout)
         if " 0 executed" not in outputs[1]:
             fail(f"second trace run executed work:\n{outputs[1]}")
 
         def speedup_rows(text):
-            return [ln for ln in text.splitlines() if ln.startswith("static_ptmc")]
+            return [ln for ln in text.splitlines() if ln.startswith("trace:")]
 
         if speedup_rows(outputs[0]) != speedup_rows(outputs[1]):
             fail("disk-cached trace run differs from the executed one")
-        print("repro trace run round-trips through the disk cache across "
+        print("repro sweep trace: round-trips through the disk cache across "
               "processes")
 
         daemon.send_signal(signal.SIGTERM)

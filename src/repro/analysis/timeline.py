@@ -48,7 +48,6 @@ def _stats_suffix(values: Sequence[float]) -> str:
 def format_timeline(
     timeseries: TimeSeries,
     paths: Optional[Sequence[str]] = None,
-    show_warmup: bool = True,
 ) -> str:
     """Multi-metric sparkline view of one run's :class:`TimeSeries`.
 
@@ -64,8 +63,6 @@ def format_timeline(
         raise KeyError(f"paths not in the time series: {missing}")
     label_width = max(len(p) for p in selected)
     phases = [p for p in PHASES if timeseries.phase_points(p)]
-    if not show_warmup:
-        phases = [p for p in phases if p != "warmup"]
     lines = []
     for path in selected:
         everything = [float(v) for v in timeseries.series(path) if v is not None]

@@ -4,20 +4,25 @@ Examples::
 
     python -m repro list                       # workloads and designs
     python -m repro run lbm06 dynamic_ptmc     # one simulation + report
-    python -m repro compare lbm06              # all designs on one workload
-    python -m repro suite gap static_ptmc      # geomean over a suite
-    python -m repro sweep spec06 --jobs 4      # parallel speedup matrix
+    python -m repro sweep lbm06                # all designs on one workload
+    python -m repro sweep spec06 --jobs 4      # speedup matrix + geomean
     python -m repro timeline lbm06 static_ptmc # phase-resolved sparklines
     python -m repro cache stats                # on-disk result cache
 
     python -m repro trace ingest app.trace     # content-address a real trace
-    python -m repro trace run <hash> -j 4      # replay it across designs
+    python -m repro sweep trace:<hash> -j 4    # replay it across designs
 
     python -m repro serve                      # job-queue daemon
     python -m repro worker --url http://h:8035 # drain a remote daemon's queue
     python -m repro submit lbm06 dynamic_ptmc  # enqueue over HTTP
     python -m repro wait <job-id>              # block until done
     python -m repro result <job-id>            # fetch the SimResult
+
+``repro sweep TARGET`` prints weighted speedup over ``uncompressed`` per
+(workload, design) plus a geomean row.  TARGET is a suite name (see
+``repro.workloads.SUITE_BY_NAME``), one roster workload, or
+``trace:<hash-or-prefix>``: a stored trace replayed with the
+``--trace-limit``/``--no-loop``/``--trace-seed`` knobs ``submit`` shares.
 
 Results are cached on disk (content-addressed, ``~/.cache/repro-ptmc``
 or ``$REPRO_CACHE_DIR``), so repeat invocations are near-instant; pass
@@ -30,23 +35,34 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 import time
+from pathlib import Path
 
 from repro.analysis import banner, format_metrics, format_table
+from repro.analysis.timeline import format_timeline
+from repro.cache.replacement import DEFAULT_POLICY, POLICIES
 from repro.energy import relative_energy
+from repro.obs.logging import StructuredLog
+from repro.obs.sampler import ObsConfig
 from repro.obs.stats import StatRegistry
+from repro.obs.tracing import Tracer, set_tracer
+from repro.service.client import JobFailed, ServiceClient, ServiceError, default_url
+from repro.service.daemon import ServiceDaemon
+from repro.service.jobstore import default_db_path
+from repro.service.worker import Worker
 from repro.sim import runner
 from repro.sim.config import bench_config
 from repro.sim.diskcache import DiskCache
+from repro.sim.parallel import sweep_with_report
+from repro.sim.results import geometric_mean
 from repro.sim.runner import compare, simulate
 from repro.sim.system import DESIGNS
-from repro.workloads import ALL_64, MEMORY_INTENSIVE, SUITE_BY_NAME, get_workload
-
-#: Suite registry shared with scripts (``repro.workloads.SUITE_BY_NAME``).
-SUITES = SUITE_BY_NAME
-
+from repro.traces.formats import TraceParseError
+from repro.traces.store import TraceStoreError, configure_trace_store, trace_store
+from repro.workloads import ALL_64, MEMORY_INTENSIVE, SUITE_BY_NAME
 
 #: Headline paths ``repro timeline`` plots when ``--metrics`` is omitted
 #: (filtered to what the run actually registered, so design-specific
@@ -70,12 +86,30 @@ def _config(args) -> "SimConfig":
 
 def _obs(args) -> "ObsConfig | None":
     """The global ``--sample-interval`` as an ObsConfig (None when off)."""
-    from repro.obs.sampler import ObsConfig
-
-    interval = getattr(args, "sample_interval", 0) or 0
-    if interval <= 0:
+    if args.sample_interval <= 0:
         return None
-    return ObsConfig(sample_interval=interval)
+    return ObsConfig(sample_interval=args.sample_interval)
+
+
+def _resolve(workload, overrides=None):
+    """``runner.resolve_workload``, or None after printing why not."""
+    try:
+        return runner.resolve_workload(workload, overrides)
+    except (KeyError, ValueError) as exc:
+        print(exc.args[0])
+    except TraceStoreError as exc:
+        print(f"trace error: {exc}")
+    return None
+
+
+def _trace_overrides(args) -> dict:
+    """The ``trace_*`` replay knobs given on the command line."""
+    knobs = {
+        "trace_limit": args.trace_limit,
+        "trace_loop": False if args.no_loop else None,
+        "trace_seed": args.trace_seed,
+    }
+    return {k: v for k, v in knobs.items() if v is not None}
 
 
 def cmd_list(args) -> int:
@@ -96,8 +130,6 @@ def cmd_list(args) -> int:
 
 
 def cmd_policies(args) -> int:
-    from repro.cache.replacement import DEFAULT_POLICY, POLICIES
-
     print(banner("LLC replacement policies"))
     rows = [
         [name, cls.__name__, cls.description + (" *" if name == DEFAULT_POLICY else "")]
@@ -105,9 +137,8 @@ def cmd_policies(args) -> int:
     ]
     print(format_table(["name", "class", "description"], rows))
     print(
-        "\n(* default)  Select with --llc-policy on run/stats/compare/"
-        "suite/sweep/submit, or sweep the whole space with "
-        "scripts/policy_search.py."
+        "\n(* default)  Select with --llc-policy on run/stats/sweep/submit, "
+        "or sweep the whole space with scripts/policy_search.py."
     )
     return 0
 
@@ -142,17 +173,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _runner_metrics() -> dict:
-    """Process-wide runner counters as ``runner.*`` telemetry paths."""
-    registry = StatRegistry()
-    runner.register_stats(registry.scope("runner"))
-    return registry.delta()
-
-
 def cmd_stats(args) -> int:
     config = _config(args)
     result = simulate(args.workload, args.design, config, obs=_obs(args))
-    runner_metrics = _runner_metrics()
+    registry = StatRegistry()  # this process's runner.* counters
+    runner.register_stats(registry.scope("runner"))
+    runner_metrics = registry.delta()
     merged = {**result.metrics, **runner_metrics}
     if args.metrics:
         wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
@@ -170,61 +196,29 @@ def cmd_stats(args) -> int:
     if args.json:
         print(json.dumps(merged, indent=2, sort_keys=True))
         return 0
+    print(banner(f"Telemetry: {args.workload} on {args.design}"))
     if args.metrics:
-        print(banner(f"Telemetry: {args.workload} on {args.design}"))
         print(format_metrics(merged))
         return 0
-    print(banner(f"Telemetry: {args.workload} on {args.design}"))
     print(format_metrics(result.metrics))
     print(banner("Runner (this process)"))
     print(format_metrics(runner_metrics))
     return 0
 
 
-def cmd_compare(args) -> int:
-    config = _config(args)
-    print(banner(f"All designs on {args.workload} (speedup vs uncompressed)"))
-    rows = []
-    for design in DESIGNS:
-        if design == "uncompressed":
-            continue
-        rows.append([design, f"{compare(args.workload, design, config):.3f}"])
-    print(format_table(["design", "speedup"], rows))
-    return 0
-
-
-def cmd_suite(args) -> int:
-    from repro.sim.results import geometric_mean
-
-    config = _config(args)
-    workloads = SUITES[args.suite]
-    values = {}
-    for workload in workloads:
-        values[workload.name] = compare(workload, args.design, config)
-    print(banner(f"{args.design} on suite '{args.suite}'"))
-    print(
-        format_table(
-            ["workload", "speedup"],
-            [[n, f"{v:.3f}"] for n, v in values.items()],
-        )
-    )
-    print(f"\ngeomean: {geometric_mean(values.values()):.3f}")
-    return 0
-
-
 def cmd_sweep(args) -> int:
-    from repro.sim.parallel import sweep_with_report
-    from repro.sim.results import geometric_mean
-
+    overrides = _trace_overrides(args)
+    if args.target in SUITE_BY_NAME and not overrides:
+        workloads = SUITE_BY_NAME[args.target]
+    else:
+        workload = _resolve(args.target, overrides)
+        if workload is None:
+            return 2
+        workloads = [workload]
+    designs = args.designs
     config = _config(args)
-    workloads = SUITES[args.suite]
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    unknown = sorted(set(designs) - set(DESIGNS))
-    if unknown:
-        print(f"unknown designs: {', '.join(unknown)}; choose from {DESIGNS}")
-        return 2
     matrix, report = sweep_with_report(workloads, designs, config, jobs=args.jobs)
-    print(banner(f"Sweep over '{args.suite}' (speedup vs uncompressed)"))
+    print(banner(f"Sweep over '{args.target}' (speedup vs uncompressed)"))
     print(
         format_table(
             ["workload", *designs],
@@ -234,10 +228,21 @@ def cmd_sweep(args) -> int:
             ],
         )
     )
-    geomeans = [
-        f"{geometric_mean(row[d] for row in matrix.values()):.3f}" for d in designs
-    ]
+    geomeans = []
+    for design in designs:  # "-" where a run measured nothing (speedup 0)
+        column = [row[design] for row in matrix.values()]
+        geomeans.append(f"{geometric_mean(column):.3f}" if min(column) > 0 else "-")
     print(format_table(["", *designs], [["geomean", *geomeans]]))
+    trace = next(
+        (r.metrics for r in report.results if "trace.replayed_records" in r.metrics),
+        None,
+    )
+    if trace:
+        print(
+            f"replayed {int(trace['trace.replayed_records'])} records "
+            f"({int(trace['trace.synthesized_fills'])} synthesized fills, "
+            f"{int(trace['trace.loops'])} loops) in the measured window"
+        )
     counts = report.counts()
     print(
         f"\n{counts['jobs']} runs with --jobs {report.jobs_used}: "
@@ -266,9 +271,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_timeline(args) -> int:
-    from repro.analysis.timeline import format_timeline
-    from repro.obs.sampler import ObsConfig
-
     config = _config(args)
     obs = ObsConfig(sample_interval=args.interval)
     result = simulate(args.workload, args.design, config, obs=obs)
@@ -302,7 +304,7 @@ def cmd_timeline(args) -> int:
         return 2
     print(banner(f"Timeline: {args.workload} on {args.design}"))
     try:
-        print(format_timeline(timeseries, paths, show_warmup=not args.no_warmup))
+        print(format_timeline(timeseries, paths))
     except (KeyError, ValueError) as exc:
         print(f"cannot render timeline: {exc}; see 'repro stats {args.workload} "
               f"{args.design} --json' for the full path list")
@@ -362,17 +364,14 @@ def _trace_info_rows(info: dict) -> list:
 
 
 def cmd_trace_ingest(args) -> int:
-    from repro.traces.formats import TraceParseError
-    from repro.traces.store import TraceStoreError, trace_store
-
     mode = "lenient" if args.lenient else "strict"
+    path = Path(args.path)
+    if not path.is_file():
+        print(f"no such trace file: {args.path}")
+        return 2
     if args.url:
-        from pathlib import Path
-
-        client = _client(args)
-        data = Path(args.path).read_bytes()
-        trace = client.upload_trace(
-            data, name=args.name or Path(args.path).name, fmt=args.format, mode=mode
+        trace = _client(args).upload_trace(
+            path.read_bytes(), name=args.name or path.name, fmt=args.format, mode=mode
         )
         created, digest, records = trace["created"], trace["hash"], trace["records"]
         errors = trace["parse_errors"]
@@ -380,11 +379,8 @@ def cmd_trace_ingest(args) -> int:
         store = trace_store()
         try:
             info, created = store.ingest_path(
-                args.path, name=args.name or "", fmt=args.format, mode=mode
+                path, name=args.name or "", fmt=args.format, mode=mode
             )
-        except FileNotFoundError:
-            print(f"no such trace file: {args.path}")
-            return 2
         except (TraceParseError, TraceStoreError) as exc:
             print(f"ingest failed: {exc}")
             return 2
@@ -393,17 +389,12 @@ def cmd_trace_ingest(args) -> int:
     print(f"{verb}: trace:{digest[:12]} ({records} records"
           + (f", {errors} lines skipped" if errors else "") + ")")
     print(f"full hash: {digest}")
-    print(f"run it with: repro trace run {digest[:12]}")
+    print(f"run it with: repro sweep trace:{digest[:12]}")
     return 0
 
 
 def cmd_trace_list(args) -> int:
-    if args.url:
-        infos = _client(args).traces()
-    else:
-        from repro.traces.store import trace_store
-
-        infos = [info.to_json_dict() for info in trace_store().list()]
+    infos = [info.to_json_dict() for info in trace_store().list()]
     if args.json:
         print(json.dumps(infos, indent=2, sort_keys=True))
         return 0
@@ -428,22 +419,11 @@ def cmd_trace_list(args) -> int:
 
 
 def cmd_trace_info(args) -> int:
-    if args.url:
-        from repro.service.client import ServiceError
-
-        try:
-            info = _client(args).trace_info(args.trace_hash)
-        except ServiceError as exc:
-            print(f"trace error: {exc}")
-            return 2
-    else:
-        from repro.traces.store import TraceStoreError, trace_store
-
-        try:
-            info = trace_store().info(args.trace_hash).to_json_dict()
-        except TraceStoreError as exc:
-            print(f"trace error: {exc}")
-            return 2
+    try:
+        info = trace_store().info(args.trace_hash).to_json_dict()
+    except TraceStoreError as exc:
+        print(f"trace error: {exc}")
+        return 2
     if args.json:
         print(json.dumps(info, indent=2, sort_keys=True))
         return 0
@@ -452,76 +432,10 @@ def cmd_trace_info(args) -> int:
     return 0
 
 
-def cmd_trace_run(args) -> int:
-    from repro.sim.parallel import sweep_with_report
-    from repro.sim.results import geometric_mean
-    from repro.traces.replay import trace_workload
-    from repro.traces.store import TraceStoreError
-
-    try:
-        workload = trace_workload(
-            args.trace_hash,
-            limit=args.trace_limit,
-            loop=not args.no_loop,
-            seed=args.trace_seed,
-            mean_gap=args.gap,
-        )
-    except TraceStoreError as exc:
-        print(f"trace error: {exc}")
-        return 2
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    unknown = sorted(set(designs) - set(DESIGNS))
-    if unknown:
-        print(f"unknown designs: {', '.join(unknown)}; choose from {DESIGNS}")
-        return 2
-    config = _config(args)
-    matrix, report = sweep_with_report([workload], designs, config, jobs=args.jobs)
-    row = matrix[workload.name]
-    print(banner(f"{workload.name} (speedup vs uncompressed)"))
-    print(format_table(
-        ["design", "speedup"], [[d, f"{row[d]:.3f}"] for d in designs]
-    ))
-    if len(designs) > 1:
-        print(f"\ngeomean: {geometric_mean(row[d] for d in designs):.3f}")
-    counts = report.counts()
-    trace_metrics = next(
-        (
-            result.metrics
-            for result in report.results
-            if "trace.replayed_records" in result.metrics
-        ),
-        {},
-    )
-    if trace_metrics:
-        print(
-            f"replayed {int(trace_metrics['trace.replayed_records'])} records "
-            f"({int(trace_metrics['trace.synthesized_fills'])} synthesized fills, "
-            f"{int(trace_metrics['trace.loops'])} loops) in the measured window"
-        )
-    print(
-        f"{counts['jobs']} runs: {counts['executed']} executed, "
-        f"{counts['disk_hits']} from disk, {counts['memory_hits']} from memory "
-        f"({report.wall_seconds:.2f}s wall)"
-    )
-    return 0
-
-
-def cmd_trace(args) -> int:
-    handlers = {
-        "ingest": cmd_trace_ingest,
-        "list": cmd_trace_list,
-        "info": cmd_trace_info,
-        "run": cmd_trace_run,
-    }
-    return handlers[args.trace_command](args)
-
-
 # -- service verbs ---------------------------------------------------------
 
 
 def _client(args):
-    from repro.service.client import ServiceClient
-
     return ServiceClient(args.url, token=getattr(args, "token", None))
 
 
@@ -542,9 +456,13 @@ def _job_row(job: dict) -> list:
 _JOB_COLUMNS = ["id", "workload", "design", "state", "prio", "attempts", "age", "source"]
 
 
-def cmd_serve(args) -> int:
-    from repro.service.daemon import ServiceDaemon
+def _stop_on_signals(loop) -> None:
+    """SIGTERM/SIGINT ask ``loop`` (daemon or worker) to drain and exit."""
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: loop.request_stop())
 
+
+def cmd_serve(args) -> int:
     if args.no_disk_cache:
         print("repro serve needs the disk cache (it is the result store); "
               "drop --no-disk-cache")
@@ -566,11 +484,7 @@ def cmd_serve(args) -> int:
         max_queued=args.max_queued,
     )
 
-    def _stop(signum, frame):
-        daemon.request_stop()
-
-    signal.signal(signal.SIGTERM, _stop)
-    signal.signal(signal.SIGINT, _stop)
+    _stop_on_signals(daemon)
     print(
         f"repro service listening on {daemon.url} "
         f"(db={daemon.store.path}, cache={daemon.cache.root}, "
@@ -583,10 +497,6 @@ def cmd_serve(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    from repro.obs.logging import StructuredLog
-    from repro.service.client import ServiceClient
-    from repro.service.worker import Worker
-
     if args.no_disk_cache:
         print("repro worker needs the disk cache (results are written "
               "through it before upload); drop --no-disk-cache")
@@ -598,15 +508,10 @@ def cmd_worker(args) -> int:
         lease_seconds=args.lease_seconds,
         poll_interval=args.poll,
         drain_seconds=args.drain_seconds,
-        max_jobs=args.max_jobs,
         log=StructuredLog(stream=None if args.quiet else sys.stderr),
     )
 
-    def _stop(signum, frame):
-        worker.request_stop()
-
-    signal.signal(signal.SIGTERM, _stop)
-    signal.signal(signal.SIGINT, _stop)
+    _stop_on_signals(worker)
     print(
         f"repro worker {worker.worker_id} draining {worker.queue.url} "
         f"(concurrency={worker.concurrency}, lease={worker.lease_seconds:g}s)",
@@ -629,12 +534,10 @@ def cmd_submit(args) -> int:
         ops=args.ops,
         warmup=args.warmup,
         llc_policy=args.llc_policy,
-        trace_limit=args.trace_limit,
-        trace_loop=False if args.no_loop else None,
-        trace_seed=args.trace_seed,
         priority=args.priority,
         max_attempts=args.max_attempts,
         timeout=args.job_timeout,
+        **_trace_overrides(args),
     )
     verb = "submitted" if job["created"] else "joined"
     print(f"{verb} job {job['id']} ({job['workload']} on {job['design']}): "
@@ -645,7 +548,7 @@ def cmd_submit(args) -> int:
 
 
 def cmd_jobs(args) -> int:
-    jobs = _client(args).jobs(state=args.state, limit=args.limit)
+    jobs = _client(args).jobs(state=args.state, limit=50)
     if not jobs:
         print("no jobs")
         return 0
@@ -654,15 +557,10 @@ def cmd_jobs(args) -> int:
 
 
 def _wait_and_report(client, job_id: str, timeout, poll) -> int:
-    from repro.service.client import JobFailed, ServiceError
-
     try:
         job = client.wait(job_id, timeout=timeout, poll=poll)
     except JobFailed as exc:
         print(f"job {exc.job['id']} ended {exc.job['state']}: {exc.job.get('error')}")
-        return 1
-    except ServiceError as exc:
-        print(str(exc))
         return 1
     result = client.result(job["id"])
     print(f"job {job['id']} done [{job.get('source')}]")
@@ -696,13 +594,33 @@ def cmd_cancel(args) -> int:
     return 0
 
 
+def _design_list(text: str) -> list:
+    """``--designs`` value: comma-separated names, each one of DESIGNS."""
+    designs = [d.strip() for d in text.split(",") if d.strip()]
+    unknown = sorted(set(designs) - set(DESIGNS))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown designs: {', '.join(unknown)}; choose from {DESIGNS}"
+        )
+    return designs
+
+
+def _days(text: str) -> float:
+    """``--older-than`` value: a finite, non-negative number of days."""
+    days = float(text)
+    if not math.isfinite(days) or days < 0:
+        raise argparse.ArgumentTypeError(
+            f"{text} is not a finite number of days >= 0 "
+            "('repro cache clear' drops every entry)"
+        )
+    return days
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="PTMC (HPCA 2019) reproduction — simulation driver",
     )
-    from repro.cache.replacement import POLICIES
-
     parser.add_argument("--ops", type=int, default=4000, help="measured ops per core")
     parser.add_argument("--warmup", type=int, default=6000, help="warmup ops per core")
     parser.add_argument(
@@ -744,15 +662,80 @@ def build_parser() -> argparse.ArgumentParser:
         help="on run/stats: sample telemetry every N line-accesses into the "
         "result's time series (0 = off; 'repro timeline' has its own flag)",
     )
+
+    # Option groups shared by several verbs (argparse parent parsers).
+    replay = argparse.ArgumentParser(add_help=False)
+    replay.add_argument(
+        "--trace-limit",
+        type=int,
+        default=None,
+        metavar="N",
+        help="trace:<hash> workloads: replay only the first N records "
+        "(default: all)",
+    )
+    replay.add_argument(
+        "--no-loop",
+        action="store_true",
+        help="trace:<hash> workloads: stop when the trace ends instead of "
+        "looping to fill the run",
+    )
+    replay.add_argument(
+        "--trace-seed",
+        type=int,
+        default=None,
+        help="trace:<hash> workloads: seed for synthesized write data and "
+        "inter-access gaps (default: 0)",
+    )
+    service = argparse.ArgumentParser(add_help=False)
+    service.add_argument(
+        "--url",
+        default=None,
+        help=f"service address (default: $REPRO_SERVICE_URL or {default_url()})",
+    )
+    service.add_argument(
+        "--token",
+        default=None,
+        help="bearer token for an auth-enabled daemon "
+        "(default: $REPRO_SERVICE_TOKEN)",
+    )
+    waiting = argparse.ArgumentParser(add_help=False)
+    waiting.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="give up waiting after this many seconds",
+    )
+    waiting.add_argument(
+        "--poll",
+        type=float,
+        default=0.2,
+        help="poll interval while waiting (seconds)",
+    )
+    draining = argparse.ArgumentParser(add_help=False)
+    draining.add_argument(
+        "--drain-seconds",
+        type=float,
+        default=30.0,
+        help="grace period for in-flight jobs on SIGTERM/SIGINT",
+    )
+    draining.add_argument(
+        "--quiet",
+        action="store_true",
+        help="suppress the structured JSON event log (stderr by default)",
+    )
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list workloads and designs")
+    listing = sub.add_parser("list", help="list workloads and designs")
+    listing.set_defaults(func=cmd_list)
 
-    sub.add_parser("policies", help="list LLC replacement policies")
+    policies = sub.add_parser("policies", help="list LLC replacement policies")
+    policies.set_defaults(func=cmd_policies)
 
     run = sub.add_parser("run", help="simulate one (workload, design) pair")
     run.add_argument("workload")
     run.add_argument("design", choices=DESIGNS)
+    run.set_defaults(func=cmd_run)
 
     stats = sub.add_parser(
         "stats", help="full telemetry-registry dump for one simulation"
@@ -767,20 +750,22 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated registry paths to show (default: everything)",
     )
-
-    cmp_ = sub.add_parser("compare", help="all designs on one workload")
-    cmp_.add_argument("workload")
-
-    suite = sub.add_parser("suite", help="one design across a suite")
-    suite.add_argument("suite", choices=sorted(SUITES))
-    suite.add_argument("design", choices=DESIGNS)
+    stats.set_defaults(func=cmd_stats)
 
     sweep = sub.add_parser(
-        "sweep", help="speedup matrix over a suite (parallel with --jobs)"
+        "sweep",
+        parents=[replay],
+        help="speedup matrix + geomean over a suite, one workload, or a "
+        "stored trace (parallel with --jobs)",
     )
-    sweep.add_argument("suite", choices=sorted(SUITES))
+    sweep.add_argument(
+        "target",
+        help=f"a suite ({', '.join(SUITE_BY_NAME)}), a workload name "
+        "(see 'repro list'), or trace:<hash-or-prefix>",
+    )
     sweep.add_argument(
         "--designs",
+        type=_design_list,
         default="static_ptmc,dynamic_ptmc,ideal",
         help="comma-separated design list (default: %(default)s)",
     )
@@ -797,6 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write per-run telemetry as JSON to PATH ('-' for stdout)",
     )
+    sweep.set_defaults(func=cmd_sweep)
 
     timeline = sub.add_parser(
         "timeline", help="phase-resolved telemetry sparklines for one run"
@@ -817,17 +803,15 @@ def build_parser() -> argparse.ArgumentParser:
         "dram/llc counters present in the run)",
     )
     timeline.add_argument(
-        "--no-warmup", action="store_true", help="hide the warmup-phase samples"
-    )
-    timeline.add_argument(
         "--json", action="store_true", help="emit the raw time series as JSON"
     )
+    timeline.set_defaults(func=cmd_timeline)
 
     cache = sub.add_parser("cache", help="inspect, clear, or prune the result cache")
     cache.add_argument("action", choices=["stats", "clear", "prune"])
     cache.add_argument(
         "--older-than",
-        type=float,
+        type=_days,
         metavar="DAYS",
         default=None,
         help="prune: delete entries last written more than DAYS days ago",
@@ -835,9 +819,12 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "--json", action="store_true", help="stats: emit the summary as JSON"
     )
+    cache.set_defaults(func=cmd_cache)
 
     trace = sub.add_parser(
-        "trace", help="ingest, inspect, and replay memory-access traces"
+        "trace",
+        help="ingest and inspect memory-access traces (replay them with "
+        "'repro sweep trace:<hash>')",
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
@@ -865,94 +852,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="upload to a running daemon (POST /traces) instead of the "
         "local store",
     )
+    trace_ingest.set_defaults(func=cmd_trace_ingest)
 
     trace_list = trace_sub.add_parser("list", help="list stored traces")
     trace_list.add_argument("--json", action="store_true")
-    trace_list.add_argument(
-        "--url", default=None, help="list a running daemon's traces instead"
-    )
+    trace_list.set_defaults(func=cmd_trace_list)
 
     trace_info = trace_sub.add_parser(
         "info", help="one trace's characterization (hash prefix ok)"
     )
     trace_info.add_argument("trace_hash", help="content hash or unique prefix")
     trace_info.add_argument("--json", action="store_true")
-    trace_info.add_argument(
-        "--url", default=None, help="ask a running daemon instead"
-    )
+    trace_info.set_defaults(func=cmd_trace_info)
 
-    trace_run = trace_sub.add_parser(
-        "run", help="replay a stored trace across designs (speedup table)"
+    serve = sub.add_parser(
+        "serve", parents=[draining], help="run the job-queue service daemon"
     )
-    trace_run.add_argument("trace_hash", help="content hash or unique prefix")
-    trace_run.add_argument(
-        "--designs",
-        default="static_ptmc,dynamic_ptmc,ideal",
-        help="comma-separated design list (default: %(default)s)",
-    )
-    trace_run.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        help="worker processes (default: serial in-process)",
-    )
-    trace_run.add_argument(
-        "--trace-limit",
-        type=int,
-        default=0,
-        metavar="N",
-        help="replay only the first N records (0 = all)",
-    )
-    trace_run.add_argument(
-        "--no-loop",
-        action="store_true",
-        help="stop when the trace ends instead of looping to fill the run",
-    )
-    trace_run.add_argument(
-        "--trace-seed",
-        type=int,
-        default=0,
-        help="seed for synthesized write data and inter-access gaps",
-    )
-    trace_run.add_argument(
-        "--gap",
-        type=int,
-        default=6,
-        metavar="CYCLES",
-        help="mean synthesized inter-access gap (default: %(default)s)",
-    )
-
-    from repro.service.client import default_url
-    from repro.service.jobstore import default_db_path
-
-    def _service_args(p, waitable: bool = False) -> None:
-        p.add_argument(
-            "--url",
-            default=None,
-            help=f"service address (default: $REPRO_SERVICE_URL or {default_url()})",
-        )
-        p.add_argument(
-            "--token",
-            default=None,
-            help="bearer token for an auth-enabled daemon "
-            "(default: $REPRO_SERVICE_TOKEN)",
-        )
-        if waitable:
-            p.add_argument(
-                "--timeout",
-                type=float,
-                default=None,
-                help="give up waiting after this many seconds",
-            )
-            p.add_argument(
-                "--poll",
-                type=float,
-                default=0.2,
-                help="poll interval while waiting (seconds)",
-            )
-
-    serve = sub.add_parser("serve", help="run the job-queue service daemon")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=8035, help="listen port (0 picks a free one)"
@@ -982,17 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default bounded retries per job",
     )
     serve.add_argument(
-        "--drain-seconds",
-        type=float,
-        default=30.0,
-        help="grace period for in-flight jobs on SIGTERM/SIGINT",
-    )
-    serve.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress the structured JSON event log (stderr by default)",
-    )
-    serve.add_argument(
         "--token",
         default=None,
         help="bearer token required on mutating requests "
@@ -1018,9 +922,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="reject new submissions (429) beyond this queue depth "
         "(0 = unbounded)",
     )
+    serve.set_defaults(func=cmd_serve)
 
     worker = sub.add_parser(
-        "worker", help="drain a remote daemon's queue on this machine"
+        "worker",
+        parents=[draining, service],
+        help="drain a remote daemon's queue on this machine",
     )
     worker.add_argument(
         "--worker-id",
@@ -1042,77 +949,51 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.5,
         help="idle poll interval when the queue is empty (seconds)",
     )
-    worker.add_argument(
-        "--drain-seconds",
-        type=float,
-        default=30.0,
-        help="grace period for in-flight jobs on SIGTERM/SIGINT",
-    )
-    worker.add_argument(
-        "--max-jobs",
-        type=int,
-        default=None,
-        help="exit after finishing this many jobs (default: run forever)",
-    )
-    worker.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress the structured JSON event log (stderr by default)",
-    )
-    _service_args(worker)
+    worker.set_defaults(func=cmd_worker)
 
-    submit = sub.add_parser("submit", help="enqueue one job on the service")
+    submit = sub.add_parser(
+        "submit",
+        parents=[replay, service, waiting],
+        help="enqueue one job on the service",
+    )
     submit.add_argument("workload")
     submit.add_argument("design", choices=DESIGNS)
     submit.add_argument("--priority", type=int, default=0)
     submit.add_argument("--max-attempts", type=int, default=None)
-    submit.add_argument(
-        "--trace-limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="trace:<hash> workloads: replay only the first N records",
-    )
-    submit.add_argument(
-        "--no-loop",
-        action="store_true",
-        help="trace:<hash> workloads: stop at trace end instead of looping",
-    )
-    submit.add_argument(
-        "--trace-seed",
-        type=int,
-        default=None,
-        help="trace:<hash> workloads: data/gap synthesis seed",
-    )
     submit.add_argument(
         "--job-timeout", type=float, default=None, help="per-job deadline (seconds)"
     )
     submit.add_argument(
         "--wait", action="store_true", help="block until the job finishes"
     )
-    _service_args(submit, waitable=True)
+    submit.set_defaults(func=cmd_submit)
 
-    jobs = sub.add_parser("jobs", help="list service jobs")
+    jobs = sub.add_parser(
+        "jobs", parents=[service], help="list service jobs (the newest 50)"
+    )
     jobs.add_argument(
         "--state",
         choices=["queued", "running", "done", "failed", "cancelled"],
         default=None,
     )
-    jobs.add_argument("--limit", type=int, default=50)
-    _service_args(jobs)
+    jobs.set_defaults(func=cmd_jobs)
 
-    wait = sub.add_parser("wait", help="block until a job finishes")
+    wait = sub.add_parser(
+        "wait", parents=[service, waiting], help="block until a job finishes"
+    )
     wait.add_argument("job_id")
-    _service_args(wait, waitable=True)
+    wait.set_defaults(func=cmd_wait)
 
-    result = sub.add_parser("result", help="fetch a finished job's result")
+    result = sub.add_parser(
+        "result", parents=[service], help="fetch a finished job's result"
+    )
     result.add_argument("job_id")
     result.add_argument("--json", action="store_true")
-    _service_args(result)
+    result.set_defaults(func=cmd_result)
 
-    cancel = sub.add_parser("cancel", help="cancel a queued job")
+    cancel = sub.add_parser("cancel", parents=[service], help="cancel a queued job")
     cancel.add_argument("job_id")
-    _service_args(cancel)
+    cancel.set_defaults(func=cmd_cancel)
     return parser
 
 
@@ -1121,50 +1002,21 @@ def main(argv=None) -> int:
     if not args.no_disk_cache:
         runner.configure_disk_cache(args.cache_dir)
     if args.trace_dir is not None:
-        from repro.traces.store import configure_trace_store
-
         configure_trace_store(args.trace_dir)
     workload_arg = getattr(args, "workload", None)
     if workload_arg is not None and not workload_arg.startswith("trace:"):
-        get_workload(workload_arg)  # fail fast with the roster listing
+        if _resolve(workload_arg) is None:  # fail fast with the roster listing
+            return 2
     tracer = None
     if args.trace_out:
-        from repro.obs.tracing import Tracer, set_tracer
-
         tracer = set_tracer(Tracer(process_name=f"repro-{args.command}"))
-    handlers = {
-        "list": cmd_list,
-        "policies": cmd_policies,
-        "run": cmd_run,
-        "stats": cmd_stats,
-        "compare": cmd_compare,
-        "suite": cmd_suite,
-        "sweep": cmd_sweep,
-        "timeline": cmd_timeline,
-        "cache": cmd_cache,
-        "trace": cmd_trace,
-        "serve": cmd_serve,
-        "worker": cmd_worker,
-        "submit": cmd_submit,
-        "jobs": cmd_jobs,
-        "wait": cmd_wait,
-        "result": cmd_result,
-        "cancel": cmd_cancel,
-    }
     try:
-        if args.command in ("submit", "jobs", "wait", "result", "cancel", "trace"):
-            from repro.service.client import ServiceError
-
-            try:
-                return handlers[args.command](args)
-            except ServiceError as exc:
-                print(f"service error: {exc}")
-                return 1
-        return handlers[args.command](args)
+        return args.func(args)
+    except ServiceError as exc:
+        print(f"service error: {exc}")
+        return 1
     finally:
         if tracer is not None:
-            from repro.obs.tracing import set_tracer
-
             events = tracer.write(args.trace_out)
             set_tracer(None)
             print(

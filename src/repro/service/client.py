@@ -134,23 +134,18 @@ class ServiceClient:
         ``workload`` may be a roster name or ``trace:<hash>``; the
         ``trace_*`` knobs apply only to the latter.
         """
-        config: Dict[str, Any] = {}
-        if ops is not None:
-            config["ops_per_core"] = ops
-        if warmup is not None:
-            config["warmup_ops"] = warmup
-        if llc_policy is not None:
-            config["llc_policy"] = llc_policy
-        if trace_limit is not None:
-            config["trace_limit"] = trace_limit
-        if trace_loop is not None:
-            config["trace_loop"] = trace_loop
-        if trace_seed is not None:
-            config["trace_seed"] = trace_seed
+        config = {
+            "ops_per_core": ops,
+            "warmup_ops": warmup,
+            "llc_policy": llc_policy,
+            "trace_limit": trace_limit,
+            "trace_loop": trace_loop,
+            "trace_seed": trace_seed,
+        }
         payload: Dict[str, Any] = {
             "workload": workload,
             "design": design,
-            "config": config,
+            "config": {k: v for k, v in config.items() if v is not None},
             "priority": priority,
         }
         if max_attempts is not None:

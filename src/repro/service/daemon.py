@@ -45,12 +45,7 @@ from repro.obs.stats import StatRegistry, StatScope, is_segment
 from repro.obs.tracing import async_begin, async_end
 from repro.service import jobstore
 from repro.service.jobstore import Job, JobStore, LeaseLostError
-from repro.service.worker import (
-    TRACE_CONFIG_KEYS,
-    Worker,
-    config_from_overrides,
-    resolve_job_workload,
-)
+from repro.service.worker import Worker, config_from_overrides
 from repro.sim import runner
 from repro.sim.diskcache import DiskCache, cache_key
 from repro.sim.results import SimResult
@@ -60,8 +55,8 @@ from repro.traces.store import TraceStore, TraceStoreError, trace_store
 
 #: SimConfig override keys a job submission may carry.  ``trace_*`` keys
 #: are workload parameters (valid only on ``trace:<hash>`` jobs).
-ALLOWED_CONFIG_KEYS = (
-    frozenset({"ops_per_core", "warmup_ops", "llc_policy"}) | TRACE_CONFIG_KEYS
+ALLOWED_CONFIG_KEYS = runner.TRACE_CONFIG_KEYS | frozenset(
+    {"ops_per_core", "warmup_ops", "llc_policy"}
 )
 
 #: Environment variable holding the shared bearer token.  When set (on
@@ -350,20 +345,13 @@ class ServiceDaemon:
                 f"unsupported config overrides {sorted(unknown)}; "
                 f"allowed: {sorted(ALLOWED_CONFIG_KEYS)}"
             )
-        trace_keys = set(config_overrides) & TRACE_CONFIG_KEYS
-        if trace_keys and not workload_name.startswith("trace:"):
-            raise SubmitError(
-                f"{sorted(trace_keys)} only apply to trace:<hash> workloads"
-            )
-        if int(config_overrides.get("trace_limit", 0) or 0) < 0:
-            raise SubmitError("trace_limit must be >= 0")
         llc_policy = config_overrides.get("llc_policy")
         if llc_policy is not None and llc_policy not in POLICIES:
             raise SubmitError(
                 f"unknown llc_policy {llc_policy!r}; choose from {sorted(POLICIES)}"
             )
         try:
-            workload = resolve_job_workload(workload_name, config_overrides)
+            workload = runner.resolve_workload(workload_name, config_overrides)
         except (KeyError, TraceStoreError) as exc:
             raise SubmitError(str(exc)) from None
         except (TypeError, ValueError) as exc:
@@ -603,7 +591,7 @@ class ServiceDaemon:
     @staticmethod
     def _resolves(job: Job) -> bool:
         try:
-            resolve_job_workload(job.workload, job.config)
+            runner.resolve_workload(job.workload, job.config)
             config_from_overrides(job.config)
         except (KeyError, TypeError, ValueError, TraceStoreError):
             return False

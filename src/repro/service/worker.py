@@ -61,43 +61,18 @@ from repro.sim import parallel, runner
 from repro.sim.config import SimConfig, bench_config
 from repro.traces.store import TraceStoreError
 
-#: Config-override keys that parameterize the *workload* (trace replay)
-#: rather than the SimConfig; only valid on ``trace:<hash>`` jobs.
-TRACE_CONFIG_KEYS = frozenset({"trace_limit", "trace_loop", "trace_seed"})
-
 
 def config_from_overrides(config: Dict) -> SimConfig:
     """The :class:`SimConfig` a job's override dict resolves to.
 
     ``trace_*`` overrides parameterize the workload, not the simulator
     config, so they are filtered out here and applied by
-    :func:`resolve_job_workload`.
+    :func:`repro.sim.runner.resolve_workload`.
     """
-    overrides = {k: v for k, v in config.items() if k not in TRACE_CONFIG_KEYS}
+    overrides = {
+        k: v for k, v in config.items() if k not in runner.TRACE_CONFIG_KEYS
+    }
     return bench_config(**overrides)
-
-
-def resolve_job_workload(workload_name: str, config: Dict):
-    """The workload object a job's stored (name, config) identifies.
-
-    Roster names resolve through the suite registry; ``trace:<hash>``
-    references resolve through the process-default trace store, with
-    any ``trace_*`` config overrides folded into the frozen
-    :class:`~repro.traces.replay.TraceWorkload` (so they participate in
-    the cache key like every other workload field).
-    """
-    workload = runner.resolve_workload(workload_name)
-    if workload_name.startswith("trace:"):
-        replacements = {}
-        if "trace_limit" in config:
-            replacements["limit"] = int(config["trace_limit"])
-        if "trace_loop" in config:
-            replacements["loop"] = bool(config["trace_loop"])
-        if "trace_seed" in config:
-            replacements["seed"] = int(config["trace_seed"])
-        if replacements:
-            workload = dataclasses.replace(workload, **replacements)
-    return workload
 
 
 def default_worker_id() -> str:
@@ -271,7 +246,7 @@ class Worker:
         """Resolve and dispatch one claimed job; fail it upstream if bad."""
         try:
             args = (
-                resolve_job_workload(job.workload, job.config),
+                runner.resolve_workload(job.workload, job.config),
                 job.design,
                 config_from_overrides(job.config),
             )
@@ -443,10 +418,8 @@ class Worker:
 
 
 __all__ = [
-    "TRACE_CONFIG_KEYS",
     "Worker",
     "WorkerStats",
     "config_from_overrides",
     "default_worker_id",
-    "resolve_job_workload",
 ]

@@ -75,19 +75,38 @@ def disk_cache() -> Optional[DiskCache]:
     return _disk
 
 
-def resolve_workload(workload) -> Workload:
+#: Job-config keys that parameterize a ``trace:<hash>`` workload (the
+#: replay knobs ``limit``, ``loop`` and ``seed``) rather than the SimConfig.
+TRACE_CONFIG_KEYS = frozenset({"trace_limit", "trace_loop", "trace_seed"})
+
+
+def resolve_workload(workload, overrides: Optional[dict] = None) -> Workload:
     """Accept a roster name, a ``trace:<hash>`` reference, or an object.
 
     ``trace:<hash-or-prefix>`` resolves through the process-default
     :class:`~repro.traces.store.TraceStore` into a
     :class:`~repro.traces.replay.TraceWorkload`, whose full trace hash
     participates in the disk-cache key like any other workload field.
+    The ``trace_*`` entries of ``overrides`` (other keys are ignored)
+    become its ``limit``/``loop``/``seed``; on any other workload, or
+    with a negative limit, they raise :class:`ValueError`.
     """
-    if isinstance(workload, str):
-        if workload.startswith("trace:"):
-            from repro.traces.replay import trace_workload
+    knobs = {k: v for k, v in (overrides or {}).items() if k in TRACE_CONFIG_KEYS}
+    if isinstance(workload, str) and workload.startswith("trace:"):
+        from repro.traces.replay import trace_workload
 
-            return trace_workload(workload[len("trace:"):])
+        limit = int(knobs.get("trace_limit", 0))
+        if limit < 0:
+            raise ValueError("trace_limit must be >= 0")
+        return trace_workload(
+            workload[len("trace:"):],
+            limit=limit,
+            loop=bool(knobs.get("trace_loop", True)),
+            seed=int(knobs.get("trace_seed", 0)),
+        )
+    if knobs:
+        raise ValueError(f"{sorted(knobs)} only apply to trace:<hash> workloads")
+    if isinstance(workload, str):
         return get_workload(workload)
     return workload
 
@@ -256,6 +275,7 @@ def register_stats(scope) -> None:
 __all__ = [
     "DESIGNS",
     "RunnerStats",
+    "TRACE_CONFIG_KEYS",
     "adopt",
     "clear_cache",
     "compare",

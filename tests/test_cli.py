@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -69,14 +71,17 @@ class TestCommands:
         assert "core.0.cycles" in metrics
 
     def test_compare(self, capsys):
-        assert main(["--ops", "200", "--warmup", "100", "compare", "libquantum06"]) == 0
+        assert main(["--ops", "200", "--warmup", "100", "sweep", "libquantum06"]) == 0
         out = capsys.readouterr().out
         assert "static_ptmc" in out
 
     def test_suite(self, capsys):
-        assert main(["--ops", "150", "--warmup", "50", "suite", "spec17", "uncompressed"]) == 0
+        assert main(
+            ["--ops", "150", "--warmup", "50",
+             "sweep", "spec17", "--designs", "uncompressed"]
+        ) == 0
         out = capsys.readouterr().out
-        assert "geomean: 1.000" in out
+        assert re.search(r"^geomean\s+1\.000\s*$", out, re.MULTILINE)
 
     def test_sweep(self, capsys):
         assert main(
@@ -137,8 +142,30 @@ class TestCommands:
         assert all("metrics" in row for row in rows)
 
     def test_sweep_rejects_unknown_design(self, capsys):
-        assert main(["sweep", "spec17", "--designs", "warp_drive"]) == 2
-        assert "unknown designs" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "spec17", "--designs", "warp_drive"])
+        assert excinfo.value.code == 2
+        assert "unknown designs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "nosuch", "ideal"],
+            ["stats", "nosuch", "ideal"],
+            ["timeline", "nosuch", "ideal"],
+            ["submit", "nosuch", "ideal", "--url", "http://127.0.0.1:1"],
+            ["sweep", "nosuch"],
+        ],
+    )
+    def test_unknown_workload_is_a_clean_error(self, capsys, argv):
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "unknown workload 'nosuch'; available:" in out
+        assert "lbm06" in out
+
+    def test_sweep_rejects_trace_knobs_on_roster_targets(self, capsys):
+        assert main(["sweep", "lbm06", "--trace-seed", "3"]) == 2
+        assert "only apply to trace:<hash> workloads" in capsys.readouterr().out
 
     def test_cache_stats_and_clear(self, capsys):
         assert main(["--ops", "150", "--warmup", "50", "run", "lbm06", "ideal"]) == 0
@@ -204,7 +231,6 @@ class TestTimelineCLI:
         assert args.command == "timeline"
         assert args.interval == 2000
         assert args.metrics is None
-        assert not args.no_warmup
 
     def test_timeline_renders_sparklines(self, capsys):
         assert main([*self.ARGS, "--interval", "300"]) == 0
@@ -377,6 +403,18 @@ class TestCachePrune:
         assert "pruned" in out
         assert len(cache) == 0
 
+    @pytest.mark.parametrize("days", ["-1", "nan", "inf"])
+    def test_prune_rejects_negative_or_non_finite_age(self, capsys, days):
+        assert main(["--ops", "150", "--warmup", "50", "run", "lbm06", "ideal"]) == 0
+        capsys.readouterr()
+        cache = runner.disk_cache()
+        entries = len(cache)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "prune", "--older-than", days])
+        assert excinfo.value.code == 2
+        assert "--older-than" in capsys.readouterr().err
+        assert len(cache) == entries
+
     def test_stats_show_entry_ages(self, capsys):
         assert main(["--ops", "150", "--warmup", "50", "run", "lbm06", "ideal"]) == 0
         capsys.readouterr()
@@ -494,9 +532,9 @@ class TestTraceCLI:
         args = build_parser().parse_args(["trace", "ingest", "t.trace", "--lenient"])
         assert args.command == "trace" and args.trace_command == "ingest"
         assert args.lenient
-        args = build_parser().parse_args(["trace", "run", "abc123", "--no-loop"])
-        assert args.trace_command == "run"
-        assert args.trace_hash == "abc123"
+        args = build_parser().parse_args(["sweep", "trace:abc123", "--no-loop"])
+        assert args.command == "sweep"
+        assert args.target == "trace:abc123"
         assert args.no_loop
 
     def test_ingest_list_info_run_round_trip(self, capsys, trace_file):
@@ -520,7 +558,7 @@ class TestTraceCLI:
         assert main(
             [
                 "--ops", "150", "--warmup", "100",
-                "trace", "run", digest[:12], "--designs", "ideal",
+                "sweep", f"trace:{digest[:12]}", "--designs", "ideal",
             ]
         ) == 0
         out = capsys.readouterr().out
@@ -534,7 +572,7 @@ class TestTraceCLI:
         digest = digest.split()[-1]
         args = [
             "--ops", "150", "--warmup", "100",
-            "trace", "run", digest[:12], "--designs", "ideal",
+            "sweep", f"trace:{digest[:12]}", "--designs", "ideal",
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
@@ -543,18 +581,36 @@ class TestTraceCLI:
         assert " 0 executed" in second  # runs now served from cache
 
         def table_rows(text):
-            return [ln for ln in text.splitlines() if ln.startswith("ideal")]
+            return [ln for ln in text.splitlines() if ln.startswith("trace:")]
 
         assert table_rows(first) == table_rows(second)
+
+    def test_sweep_of_an_exhausted_trace_has_no_geomean(self, capsys, trace_file):
+        """A no-loop replay shorter than warmup measures nothing (speedup 0)."""
+        assert main(["trace", "ingest", str(trace_file)]) == 0
+        digest = capsys.readouterr().out.split("trace:")[1].split()[0]
+        assert main(
+            [
+                "--ops", "150", "--warmup", "100",
+                "sweep", f"trace:{digest}", "--designs", "ideal",
+                "--trace-limit", "10", "--no-loop",
+            ]
+        ) == 0
+        assert re.search(r"^geomean\s+-\s*$", capsys.readouterr().out, re.MULTILINE)
 
     def test_unknown_trace_hash_is_a_clean_error(self, capsys):
         assert main(["trace", "info", "feedface"]) == 2
         assert "trace error" in capsys.readouterr().out
-        assert main(["trace", "run", "feedface"]) == 2
+        assert main(["sweep", "trace:feedface"]) == 2
         assert "trace error" in capsys.readouterr().out
 
     def test_missing_trace_file_is_a_clean_error(self, capsys, tmp_path):
         assert main(["trace", "ingest", str(tmp_path / "nope.trace")]) == 2
+        assert "no such trace file" in capsys.readouterr().out
+
+    def test_missing_trace_file_upload_is_a_clean_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "nope.trace")
+        assert main(["trace", "ingest", missing, "--url", "http://127.0.0.1:1"]) == 2
         assert "no such trace file" in capsys.readouterr().out
 
     def test_strict_ingest_reports_line_number(self, capsys, tmp_path):

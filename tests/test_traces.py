@@ -441,6 +441,25 @@ class TestTraceReplay:
         assert isinstance(resolved, TraceWorkload)
         assert resolved.trace_hash == info.hash
 
+    def test_runner_folds_trace_knobs_into_the_workload(self):
+        info, _ = ingest_toy()
+        resolved = runner.resolve_workload(
+            f"trace:{info.hash[:8]}",
+            {"trace_limit": 10, "trace_loop": False, "trace_seed": 7, "ops_per_core": 5},
+        )
+        assert resolved == trace_workload(info.hash, limit=10, loop=False, seed=7)
+
+    def test_runner_rejects_trace_knobs_on_roster_names(self):
+        with pytest.raises(ValueError, match="trace"):
+            runner.resolve_workload("lbm06", {"trace_seed": 3})
+        # non-trace override keys are not the resolver's business
+        assert runner.resolve_workload("lbm06", {"ops_per_core": 5}).name == "lbm06"
+
+    def test_runner_rejects_negative_trace_limit(self):
+        info, _ = ingest_toy()
+        with pytest.raises(ValueError, match="trace_limit"):
+            runner.resolve_workload(f"trace:{info.hash}", {"trace_limit": -1})
+
 
 # ---------------------------------------------------------------------------
 # Disk-cache keying + parallel sweeps
@@ -461,6 +480,15 @@ class TestTraceCaching:
             dataclasses.replace(base, trace_hash="f" * 64),
         ):
             assert cache_key(variant, "static_ptmc", CFG) != key
+
+    def test_resolved_trace_key_matches_explicit_defaults(self):
+        """A bare ``trace:<hash>`` keys like the knobs spelled out in full."""
+        info, _ = ingest_toy()
+        explicit = trace_workload(info.hash, limit=0, loop=True, seed=0, mean_gap=6)
+        resolved = runner.resolve_workload(f"trace:{info.hash[:12]}")
+        assert cache_key(resolved, "static_ptmc", CFG) == cache_key(
+            explicit, "static_ptmc", CFG
+        )
 
     def test_second_run_served_from_disk_cache(self, tmp_path):
         info, _ = ingest_toy()
