@@ -27,7 +27,7 @@ def _ablation(config):
             result, speedup = run_custom(workload, "static_ptmc", cfg)
             row[f"{label}_speedup"] = speedup
             row[f"{label}_l3_hit"] = result.l3_hit_rate
-            row[f"{label}_rmw"] = result.dram.accesses_by_category.get(
+            row[f"{label}_rmw"] = result.bandwidth_by_category().get(
                 Category.MAINTENANCE, 0
             )
         rows[workload] = row

@@ -88,7 +88,7 @@ def main() -> None:
     first = fresh.read_line(73, 0, 0, null)
     second = fresh.read_line(73, 0, 0, null)
     print(f"first read of line 73 : {first.accesses} access(es) "
-          f"(mispredicted={first.mispredicted})")
+          f"(mispredicted={first.accesses > 1})")
     print(f"second read of line 73: {second.accesses} access(es) "
           f"(the LCT learned the page's status)")
     print(f"LLP accuracy so far: {fresh.llp.accuracy:.0%}")

@@ -75,6 +75,18 @@ DEFAULT_TIMELINE_METRICS = (
     "dram.row_hits",
 )
 
+#: ``repro run`` rows for the design-specific counts: row label -> metric
+#: path, shown when the design registers the path.
+RUN_METRIC_ROWS = {
+    "inversions": "ptmc.inversions",
+    "invalidate_writes": "ptmc.invalidate_writes",
+    "clean_writebacks": "ptmc.clean_writebacks",
+    "lit_occupancy": "ptmc.lit_occupancy",
+    "policy_benefits": "policy.benefits",
+    "policy_costs": "policy.costs",
+    "compression_enabled_final": "policy.compression_enabled",
+}
+
 
 def _config(args) -> "SimConfig":
     return bench_config(
@@ -162,7 +174,12 @@ def cmd_run(args) -> int:
         rows.append(["LLP accuracy", f"{result.llp_accuracy:.1%}"])
     if result.metadata_hit_rate is not None:
         rows.append(["metadata-cache hit", f"{result.metadata_hit_rate:.1%}"])
-    for key, value in sorted(result.extras.items()):
+    counts = {
+        key: result.metrics[path]
+        for key, path in RUN_METRIC_ROWS.items()
+        if path in result.metrics
+    }
+    for key, value in sorted({**counts, **result.extras}.items()):
         rows.append([key, f"{value:.0f}" if value >= 1 else f"{value:.3f}"])
     print(format_table(["metric", "value"], rows))
     print("\nDRAM traffic by category:")
@@ -186,10 +203,8 @@ def cmd_stats(args) -> int:
         if missing:
             print(
                 f"metrics not present in this result: {', '.join(missing)}\n"
-                "(cached results from older runs may lack newer paths — "
-                "re-run with --no-disk-cache or 'repro cache clear'; "
-                f"'repro stats {args.workload} {args.design} --json' lists "
-                "every available path)"
+                f"('repro stats {args.workload} {args.design} --json' lists "
+                "every path this design registers)"
             )
             return 2
         merged = {m: merged[m] for m in wanted}
@@ -288,9 +303,7 @@ def cmd_timeline(args) -> int:
         if missing:
             print(
                 f"series not present in this result: {', '.join(missing)}\n"
-                "(cached results from older runs may lack newer series — "
-                "re-run with --no-disk-cache or 'repro cache clear'; "
-                f"available: {', '.join(available)})"
+                f"(available: {', '.join(available)})"
             )
             return 2
     else:

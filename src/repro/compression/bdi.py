@@ -52,11 +52,6 @@ class _DeltaPlan:
     deltas: List[int]  # signed deltas, one per element
 
 
-def _signed_fits(value: int, nbytes: int) -> bool:
-    bits = nbytes * 8
-    return -(1 << (bits - 1)) <= value < (1 << (bits - 1))
-
-
 class BDI(CompressionAlgorithm):
     """Base-Delta-Immediate with an implicit zero base."""
 
@@ -183,16 +178,6 @@ class BDI(CompressionAlgorithm):
             encodings[feasible] = encoding
             decided |= feasible
         return sizes, encodings
-
-    def _plan(
-        self, line: bytes, encoding: int, base_bytes: int, delta_bytes: int
-    ) -> Optional[_DeltaPlan]:
-        """Find base/deltas for one (k, d) configuration, or None."""
-        elements = [
-            int.from_bytes(line[i : i + base_bytes], "little")
-            for i in range(0, LINE_SIZE, base_bytes)
-        ]
-        return self._plan_elements(elements, encoding, delta_bytes)
 
     @staticmethod
     def _plan_elements(

@@ -112,4 +112,4 @@ class IdealTMCController(MemoryController):
         self.dram.access(evicted.addr, now, Category.DATA_WRITE)
         if credit:
             self._write_credit[slot] = credit
-        return WriteResult(writes=1)
+        return WriteResult()

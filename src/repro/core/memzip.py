@@ -114,4 +114,4 @@ class MemZipController(TableMetadataController):
         )
         self.memory.write(evicted.addr, slot)
         self._touch_metadata(evicted.addr, now, dirty=bursts != previous)
-        return WriteResult(writes=1)
+        return WriteResult()

@@ -176,7 +176,7 @@ class MetadataTableController(TableMetadataController):
 
         csi_dirty = False
         for level, slot, members, packed in units:
-            csi_dirty |= self._write_unit(level, slot, members, packed, gang, now, result)
+            csi_dirty |= self._write_unit(level, slot, members, packed, gang, now)
         if csi_dirty:
             self._touch_metadata(evicted.addr, now, dirty=True)
         return result
@@ -228,7 +228,6 @@ class MetadataTableController(TableMetadataController):
         packed: Optional[bytes],
         gang: Dict[int, LineState],
         now: int,
-        result: WriteResult,
     ) -> bool:
         """Write one unit and update the CSI; returns whether CSI changed."""
         states = [gang[a] for a in members]
@@ -250,9 +249,7 @@ class MetadataTableController(TableMetadataController):
             category = Category.DATA_WRITE if any_dirty else Category.CLEAN_WRITEBACK
             self.dram.access(slot, now, category)
             self.memory.write(slot, packed)
-        result.writes += 1
         if category is Category.CLEAN_WRITEBACK:
-            result.clean_writebacks += 1
             self.clean_writebacks += 1
         return changed
 

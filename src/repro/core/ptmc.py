@@ -118,8 +118,7 @@ class PTMCController(MemoryController):
             if resolved is None:
                 continue
             data, extras, actual_level, compressed = resolved
-            mispredicted = accesses > 1
-            if mispredicted:
+            if accesses > 1:
                 # One wrong prediction, however many candidate slots the
                 # re-issue walked — and only when a prediction was made at
                 # all (group bases have a single fixed location).
@@ -140,7 +139,6 @@ class PTMCController(MemoryController):
                 completion=completion,
                 accesses=accesses,
                 extra_lines=extras,
-                mispredicted=mispredicted,
             )
         raise RuntimeError(f"line {addr:#x} unlocatable — memory invariant broken")
 
@@ -256,12 +254,12 @@ class PTMCController(MemoryController):
         }
 
         for level, slot, members, packed in units:
-            self._write_unit(level, slot, members, packed, gang, now, sampled, core_id, result)
+            self._write_unit(level, slot, members, packed, gang, now, sampled, core_id)
 
         for stale in sorted(prev_slots - new_slots):
             if not self._stale_slot_confirmed(stale, gang):
                 continue
-            self._write_invalid(stale, now, result)
+            self._write_invalid(stale, now)
             if sampled:
                 self.policy.on_cost(core_id)
         return result
@@ -392,7 +390,6 @@ class PTMCController(MemoryController):
         now: int,
         sampled: bool,
         core_id: int,
-        result: WriteResult,
     ) -> None:
         """Write one placement unit unless memory already holds it."""
         states = [gang[a] for a in members]
@@ -403,7 +400,7 @@ class PTMCController(MemoryController):
             if not state.dirty and not relocated:
                 return  # clean line already correct at home — free eviction
             category = Category.DATA_WRITE if state.dirty else Category.CLEAN_WRITEBACK
-            self._write_uncompressed(slot, state.data, now, category, result)
+            self._write_uncompressed(slot, state.data, now, category)
             if category is Category.CLEAN_WRITEBACK and sampled:
                 self.policy.on_cost(core_id)
             return
@@ -415,23 +412,19 @@ class PTMCController(MemoryController):
         self.memory.write(slot, packed)
         if self.lit.remove(slot):
             self.dram.access(self._lit_spill_addr(slot), now, Category.MAINTENANCE)
-        result.writes += 1
         if category is Category.CLEAN_WRITEBACK:
-            result.clean_writebacks += 1
             self.clean_writebacks += 1
             if sampled:
                 self.policy.on_cost(core_id)
 
     def _write_uncompressed(
-        self, addr: int, data: bytes, now: int, category: Category, result: WriteResult
+        self, addr: int, data: bytes, now: int, category: Category
     ) -> None:
         """Store a plain line, inverting it on marker collision (Fig. 11)."""
         stored = self._encode_uncompressed(addr, data, now)
         self.dram.access(addr, now, category)
         self.memory.write(addr, stored)
-        result.writes += 1
         if category is Category.CLEAN_WRITEBACK:
-            result.clean_writebacks += 1
             self.clean_writebacks += 1
 
     def _encode_uncompressed(self, addr: int, data: bytes, now: int) -> bytes:
@@ -485,13 +478,12 @@ class PTMCController(MemoryController):
             return False  # already invalid; skip the redundant write
         return slot in gang and gang[slot].fill_level is Level.UNCOMPRESSED
 
-    def _write_invalid(self, slot: int, now: int, result: WriteResult) -> None:
+    def _write_invalid(self, slot: int, now: int) -> None:
         """Overwrite a stale slot with Marker-IL (Fig. 13)."""
         self.dram.access(slot, now, Category.INVALIDATE_WRITE)
         self.memory.write(slot, self.markers.invalid_marker(slot))
         if self.lit.remove(slot):
             self.dram.access(self._lit_spill_addr(slot), now, Category.MAINTENANCE)
-        result.invalidates += 1
         self.invalidate_writes += 1
 
     # ------------------------------------------------------------------

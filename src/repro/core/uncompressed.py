@@ -32,4 +32,4 @@ class UncompressedController(MemoryController):
             return WriteResult()
         self.dram.access(evicted.addr, now, Category.DATA_WRITE)
         self.memory.write(evicted.addr, evicted.data)
-        return WriteResult(writes=1)
+        return WriteResult()

@@ -52,11 +52,11 @@ class EnergyReport:
 
 def energy_of(result: SimResult, params: EnergyParams = EnergyParams()) -> EnergyReport:
     """Energy accounting for one finished simulation."""
-    stats = result.dram
+    metrics = result.metrics
     dynamic = (
-        stats.activations * params.activate_nj
-        + stats.reads * params.read_nj
-        + stats.writes * params.write_nj
+        metrics["dram.activations"] * params.activate_nj
+        + metrics["dram.reads"] * params.read_nj
+        + metrics["dram.writes"] * params.write_nj
     )
     seconds = result.elapsed_cycles / (params.cpu_ghz * 1e9)
     background = params.background_mw_per_channel * params.channels * seconds * 1e6

@@ -13,8 +13,8 @@ Keys are a SHA-256 over the *fully resolved* identity of the run:
   results),
 - the design string,
 - every field of the resolved ``SimConfig`` (recursively), and
-- a cache schema version (bump :data:`CACHE_SCHEMA_VERSION` when the
-  simulator's semantics change and previously stored results go stale).
+- a fingerprint of the simulator's own sources (every ``.py`` under
+  ``repro``), so an entry written by different code is never served.
 
 Entries are the versioned JSON produced by
 :meth:`repro.sim.results.SimResult.to_json_dict`; corrupt or
@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -42,8 +43,9 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from repro.obs.tracing import span
 from repro.sim.results import ResultDecodeError, SimResult
 
-#: Bump to invalidate every previously stored entry (key-side version).
-CACHE_SCHEMA_VERSION = 1
+#: The ``repro`` package directory; every ``.py`` below it is part of each
+#: cache key (see :func:`source_fingerprint`).
+SOURCE_ROOT = Path(__file__).resolve().parents[1]
 
 #: Environment variable that overrides the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -113,11 +115,29 @@ def config_identity(config: Any) -> Any:
     return stable_identity(config)
 
 
+@functools.lru_cache(maxsize=None)
+def source_fingerprint(root: Path) -> str:
+    """SHA-256 over every ``.py`` under ``root``: relative path and bytes.
+
+    One rule and no module list, so no semantics-bearing file (a
+    controller, the marker hash in ``util/hashing.py``, the registry in
+    ``obs/stats.py``) can be left out.  Hashed once per root, on first
+    use rather than at import.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix().encode("utf-8")
+        data = path.read_bytes()
+        digest.update(b"%d:%s:%d:" % (len(name), name, len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def cache_key(workload: Any, design: str, config: Any) -> str:
-    """Stable SHA-256 key for one (workload, design, config) run."""
+    """Stable SHA-256 key for one (workload, design, config) run of this code."""
     blob = json.dumps(
         {
-            "schema": CACHE_SCHEMA_VERSION,
+            "sources": source_fingerprint(SOURCE_ROOT),
             "workload": workload_identity(workload),
             "design": design,
             "config": config_identity(config),
@@ -309,12 +329,13 @@ class DiskCache:
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "CACHE_SCHEMA_VERSION",
+    "SOURCE_ROOT",
     "CacheCounters",
     "DiskCache",
     "cache_key",
     "config_identity",
     "default_cache_dir",
+    "source_fingerprint",
     "stable_identity",
     "workload_identity",
 ]

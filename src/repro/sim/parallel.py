@@ -50,10 +50,6 @@ class BatchReport:
     def executed(self) -> int:
         return self.sources.count("executed")
 
-    @property
-    def cache_hits(self) -> int:
-        return len(self.sources) - self.executed
-
     def counts(self) -> Dict[str, int]:
         return {
             "jobs": len(self.sources),

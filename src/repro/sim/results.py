@@ -3,26 +3,25 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.dram.system import DRAMStats
 from repro.obs.stats import MetricValue
-from repro.obs.timeseries import TimeSeries, TimeSeriesDecodeError
+from repro.obs.timeseries import TimeSeries
 from repro.types import Category
 
-#: Version of the :class:`SimResult` JSON wire format.  Bump whenever the
-#: serialized shape changes *or* when simulation semantics change enough
-#: that previously cached results must not be reused — every persisted
+#: Version of the :class:`SimResult` JSON wire format.  Every persisted
 #: result embeds this and the disk cache treats a mismatch as a miss.
 #: v2: added the ``metrics`` mapping (telemetry-registry paths).
 #: v3: added the optional ``timeseries`` envelope (interval sampling).
-#: v2 payloads still decode (the added field is optional and the
-#: simulation semantics are unchanged), so warm disk caches survive.
-RESULT_SCHEMA_VERSION = 3
+#: v4: ``metrics`` is the only record of simulated numbers; the scalar
+#: copies (``core_cycles``, ``dram``, ``l3_hits``, ...) left the payload.
+#: v2 and v3 payloads carry every v4 key, so they still decode.
+RESULT_SCHEMA_VERSION = 4
 
 #: Schema versions :meth:`SimResult.from_json_dict` accepts.
-SUPPORTED_SCHEMA_VERSIONS = (2, RESULT_SCHEMA_VERSION)
+SUPPORTED_SCHEMA_VERSIONS = (2, 3, RESULT_SCHEMA_VERSION)
 
 
 class ResultDecodeError(ValueError):
@@ -33,36 +32,91 @@ class ResultDecodeError(ValueError):
     """
 
 
+def _number(key: str, value: Any) -> MetricValue:
+    """``value`` if it is a finite JSON number (not a bool), else raise."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        raise ResultDecodeError(f"{key!r} is not a finite number: {value!r}")
+    return value
+
+
 @dataclass
 class SimResult:
-    """Everything a finished simulation reports."""
+    """Everything a finished simulation reports: one registry window.
+
+    ``metrics`` is the measured-window delta of the stat registry, keyed
+    by path (``dram.row_hits``, ``ptmc.llp.accuracy``, ...).  It is the
+    only record of the simulated numbers; the scalar accessors below are
+    views over it.
+    """
 
     workload: str
     design: str
-    core_cycles: List[int]
-    core_instructions: List[int]
-    dram: DRAMStats
-    l3_hits: int = 0
-    l3_misses: int = 0
-    useful_prefetches: int = 0
-    demand_accesses: int = 0
-    llp_accuracy: Optional[float] = None
-    metadata_hit_rate: Optional[float] = None
-    extras: Dict[str, float] = field(default_factory=dict)
-    #: measured-window telemetry keyed by registry path (``dram.row_hits``,
-    #: ``ptmc.llp.accuracy``, ...); the legacy fields above are projections
-    #: of this mapping kept for established consumers.
     metrics: Dict[str, MetricValue] = field(default_factory=dict)
+    #: host provenance only: ``sim_seconds``, ``cached``, ``serve_seconds``
+    extras: Dict[str, float] = field(default_factory=dict)
     #: phase-resolved telemetry samples (``None`` unless the run was
     #: observed with an :class:`~repro.obs.sampler.ObsConfig` that
     #: enabled interval sampling); purely additive — core metrics are
     #: identical with or without it.
     timeseries: Optional[TimeSeries] = None
 
+    def _count(self, path: str) -> int:
+        return int(self.metrics.get(path, 0))
+
+    def _per_core(self, stat: str) -> List[int]:
+        values: List[int] = []
+        while f"core.{len(values)}.{stat}" in self.metrics:
+            values.append(self._count(f"core.{len(values)}.{stat}"))
+        return values
+
+    def _by_suffix(self, suffix: str) -> Optional[float]:
+        """The metric ending in ``suffix``, which at most one controller
+        scope registers; ``None`` when this design has none."""
+        for path, value in self.metrics.items():
+            if path.endswith(suffix):
+                return float(value)
+        return None
+
+    @property
+    def core_cycles(self) -> List[int]:
+        return self._per_core("cycles")
+
+    @property
+    def core_instructions(self) -> List[int]:
+        return self._per_core("instructions")
+
+    @property
+    def l3_hits(self) -> int:
+        return self._count("llc.hits")
+
+    @property
+    def l3_misses(self) -> int:
+        return self._count("llc.misses")
+
+    @property
+    def useful_prefetches(self) -> int:
+        return self._count("llc.useful_prefetches")
+
+    @property
+    def demand_accesses(self) -> int:
+        return self._count("llc.demand_accesses")
+
+    @property
+    def llp_accuracy(self) -> Optional[float]:
+        return self._by_suffix(".llp.accuracy")
+
+    @property
+    def metadata_hit_rate(self) -> Optional[float]:
+        return self._by_suffix(".metadata_cache.hit_rate")
+
     @property
     def elapsed_cycles(self) -> int:
         """Wall-clock of the whole run (slowest core)."""
-        return max(self.core_cycles) if self.core_cycles else 0
+        return max(self.core_cycles, default=0)
 
     @property
     def ipc_per_core(self) -> List[float]:
@@ -77,12 +131,13 @@ class SimResult:
         return self.l3_hits / total if total else 0.0
 
     def bandwidth_by_category(self) -> Dict[Category, int]:
-        """DRAM accesses per accounting bucket (64B each)."""
-        return dict(self.dram.accesses_by_category)
+        """DRAM accesses per accounting bucket (64B each), nonzero only."""
+        counts = {c: self._count(f"dram.accesses.{c.value}") for c in Category}
+        return {category: count for category, count in counts.items() if count}
 
     @property
     def total_dram_accesses(self) -> int:
-        return self.dram.total_accesses
+        return sum(self.bandwidth_by_category().values())
 
     # --- versioned JSON wire format (used by the on-disk result cache) ---
 
@@ -92,34 +147,10 @@ class SimResult:
             "schema": RESULT_SCHEMA_VERSION,
             "workload": self.workload,
             "design": self.design,
-            "core_cycles": list(self.core_cycles),
-            "core_instructions": list(self.core_instructions),
-            "dram": {
-                "accesses_by_category": {
-                    category.value: count
-                    for category, count in sorted(
-                        self.dram.accesses_by_category.items(),
-                        key=lambda kv: kv[0].value,
-                    )
-                },
-                "row_hits": self.dram.row_hits,
-                "row_misses": self.dram.row_misses,
-                "activations": self.dram.activations,
-                "reads": self.dram.reads,
-                "writes": self.dram.writes,
-                "busy_cycles": self.dram.busy_cycles,
-                "refresh_stalls": self.dram.refresh_stalls,
-            },
-            "l3_hits": self.l3_hits,
-            "l3_misses": self.l3_misses,
-            "useful_prefetches": self.useful_prefetches,
-            "demand_accesses": self.demand_accesses,
-            "llp_accuracy": self.llp_accuracy,
-            "metadata_hit_rate": self.metadata_hit_rate,
-            "extras": dict(sorted(self.extras.items())),
             # sorted paths: dumped metrics diff deterministically even
             # through serializers that preserve insertion order
             "metrics": dict(sorted(self.metrics.items())),
+            "extras": dict(sorted(self.extras.items())),
             "timeseries": (
                 None if self.timeseries is None else self.timeseries.to_json_dict()
             ),
@@ -127,7 +158,12 @@ class SimResult:
 
     @classmethod
     def from_json_dict(cls, payload: Any) -> "SimResult":
-        """Inverse of :meth:`to_json_dict`; raises :class:`ResultDecodeError`."""
+        """Inverse of :meth:`to_json_dict`; raises :class:`ResultDecodeError`.
+
+        Every metric and extras value must be a finite JSON number: a
+        string, bool or NaN would otherwise reach the accessors as a
+        different number than the one the mapping holds.
+        """
         if not isinstance(payload, dict):
             raise ResultDecodeError("result payload is not an object")
         schema = payload.get("schema")
@@ -136,51 +172,19 @@ class SimResult:
                 f"result schema {schema!r} not in supported {SUPPORTED_SCHEMA_VERSIONS}"
             )
         try:
-            timeseries_payload = payload.get("timeseries") if schema >= 3 else None
-            try:
-                timeseries = (
-                    None
-                    if timeseries_payload is None
-                    else TimeSeries.from_json_dict(timeseries_payload)
-                )
-            except TimeSeriesDecodeError as exc:
-                raise ResultDecodeError(str(exc)) from exc
-            dram_payload = payload["dram"]
-            dram = DRAMStats(
-                accesses_by_category={
-                    Category(name): int(count)
-                    for name, count in dram_payload["accesses_by_category"].items()
-                },
-                row_hits=int(dram_payload["row_hits"]),
-                row_misses=int(dram_payload["row_misses"]),
-                activations=int(dram_payload["activations"]),
-                reads=int(dram_payload["reads"]),
-                writes=int(dram_payload["writes"]),
-                busy_cycles=int(dram_payload["busy_cycles"]),
-                refresh_stalls=int(dram_payload["refresh_stalls"]),
-            )
-            llp_accuracy = payload["llp_accuracy"]
-            metadata_hit_rate = payload["metadata_hit_rate"]
+            timeseries = payload.get("timeseries")
             return cls(
                 workload=str(payload["workload"]),
                 design=str(payload["design"]),
-                core_cycles=[int(c) for c in payload["core_cycles"]],
-                core_instructions=[int(i) for i in payload["core_instructions"]],
-                dram=dram,
-                l3_hits=int(payload["l3_hits"]),
-                l3_misses=int(payload["l3_misses"]),
-                useful_prefetches=int(payload["useful_prefetches"]),
-                demand_accesses=int(payload["demand_accesses"]),
-                llp_accuracy=None if llp_accuracy is None else float(llp_accuracy),
-                metadata_hit_rate=(
-                    None if metadata_hit_rate is None else float(metadata_hit_rate)
-                ),
-                extras={str(k): float(v) for k, v in payload["extras"].items()},
                 metrics={
-                    str(k): (int(v) if isinstance(v, int) else float(v))
-                    for k, v in payload["metrics"].items()
+                    str(k): _number(k, v) for k, v in payload["metrics"].items()
                 },
-                timeseries=timeseries,
+                extras={
+                    str(k): float(_number(k, v)) for k, v in payload["extras"].items()
+                },
+                timeseries=(
+                    None if timeseries is None else TimeSeries.from_json_dict(timeseries)
+                ),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ResultDecodeError(f"malformed result payload: {exc}") from exc

@@ -10,7 +10,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.compression.batch import BatchCompressor
 from repro.core.base_controller import MemoryController
 from repro.core.ideal import IdealTMCController
-from repro.core.memzip import MemZipController
+from repro.core.memzip import MemZipConfig, MemZipController
 from repro.core.metadata_table import MetadataTableController
 from repro.core.policy import AlwaysOnPolicy, CompressionPolicy, SamplingPolicy
 from repro.core.prefetch import NextLinePrefetchController
@@ -18,13 +18,12 @@ from repro.core.ptmc import PTMCController
 from repro.core.uncompressed import UncompressedController
 from repro.cpu.core import CoreModel
 from repro.dram.storage import PhysicalMemory
-from repro.dram.system import DRAMStats, DRAMSystem
+from repro.dram.system import DRAMSystem
 from repro.obs.sampler import IntervalSampler, ObsConfig
 from repro.obs.stats import Metrics, StatRegistry
 from repro.obs.tracing import span
 from repro.sim.config import SimConfig
 from repro.sim.results import SimResult
-from repro.types import Category
 from repro.vm.page_table import LINES_PER_PAGE, PageTable
 from repro.workloads.generators import MixWorkload
 
@@ -52,16 +51,8 @@ def build_controller(
     if design == "tmc_table":
         return MetadataTableController(memory, dram, config=config.metadata), None
     if design == "memzip":
-        from repro.core.memzip import MemZipConfig
-
-        return (
-            MemZipController(
-                memory,
-                dram,
-                config=MemZipConfig(cache_bytes=config.metadata.cache_bytes),
-            ),
-            None,
-        )
+        memzip_config = MemZipConfig(cache_bytes=config.metadata.cache_bytes)
+        return MemZipController(memory, dram, config=memzip_config), None
     if design == "ideal":
         return IdealTMCController(memory, dram), None
     if design == "static_ptmc":
@@ -205,21 +196,14 @@ class SimulatedSystem:
         replayers = [g for g in self.generators if hasattr(g, "replayed_records")]
         if replayers:
             trace_scope = registry.scope("trace")
-            trace_scope.counter(
-                "replayed_records",
-                lambda: sum(g.replayed_records for g in replayers),
-                doc="stored trace records replayed across all cores",
-            )
-            trace_scope.counter(
-                "synthesized_fills",
-                lambda: sum(g.synthesized_fills for g in replayers),
-                doc="write records whose line data was synthesized",
-            )
-            trace_scope.counter(
-                "loops",
-                lambda: sum(g.loops for g in replayers),
-                doc="times a core's trace wrapped around",
-            )
+            for name, doc in (
+                ("replayed_records", "stored trace records replayed across all cores"),
+                ("synthesized_fills", "write records whose line data was synthesized"),
+                ("loops", "times a core's trace wrapped around"),
+            ):
+                trace_scope.counter(
+                    name, lambda name=name: sum(getattr(g, name) for g in replayers), doc=doc
+                )
         return registry
 
     def _spec_for_core(self, core_id: int):
@@ -282,65 +266,14 @@ class SimulatedSystem:
             if stepped and (keep_running is None or keep_running(core)):
                 heapq.heappush(heap, (core.time, core_id))
 
-    def _measured_dram(self, metrics: Metrics) -> DRAMStats:
-        """Measured-phase DRAM statistics rebuilt from the metric paths.
-
-        Only categories with measured traffic are materialised, matching
-        the historical accounting.  ``refresh_stalls`` stays zero here for
-        wire-format compatibility (it was never deltaed before); the true
-        measured value is available at ``dram.refresh_stalls``.
-        """
-        delta = DRAMStats(
-            row_hits=int(metrics["dram.row_hits"]),
-            row_misses=int(metrics["dram.row_misses"]),
-            activations=int(metrics["dram.activations"]),
-            reads=int(metrics["dram.reads"]),
-            writes=int(metrics["dram.writes"]),
-            busy_cycles=int(metrics["dram.busy_cycles"]),
-        )
-        for category in Category:
-            measured = int(metrics[f"dram.accesses.{category.value}"])
-            if measured:
-                delta.accesses_by_category[category] = measured
-        return delta
-
     def _collect(self, metrics: Metrics) -> SimResult:
-        """Shape the measured-window metrics into a :class:`SimResult`.
+        """The measured-window metrics, as a :class:`SimResult`.
 
-        Every value is looked up by registry path; nothing here depends on
-        the concrete controller or policy type.
+        The registry window is the whole result: every number a consumer
+        reads is a view over ``metrics``, so nothing here depends on the
+        concrete controller or policy type.
         """
-        cores = range(self.config.num_cores)
-        result = SimResult(
-            workload=self.workload.name,
-            design=self.design,
-            core_cycles=[int(metrics[f"core.{c}.cycles"]) for c in cores],
-            core_instructions=[int(metrics[f"core.{c}.instructions"]) for c in cores],
-            dram=self._measured_dram(metrics),
-            l3_hits=int(metrics["llc.hits"]),
-            l3_misses=int(metrics["llc.misses"]),
-            useful_prefetches=int(metrics["llc.useful_prefetches"]),
-            demand_accesses=int(metrics["llc.demand_accesses"]),
-            metrics=dict(metrics),
+        timeseries = self.sampler.timeseries() if self.sampler is not None else None
+        return SimResult(
+            self.workload.name, self.design, dict(metrics), timeseries=timeseries
         )
-        design = self.controller.name
-        llp_accuracy = metrics.get(f"{design}.llp.accuracy")
-        if llp_accuracy is not None:
-            result.llp_accuracy = float(llp_accuracy)
-        metadata_hit_rate = metrics.get(f"{design}.metadata_cache.hit_rate")
-        if metadata_hit_rate is not None:
-            result.metadata_hit_rate = float(metadata_hit_rate)
-        if f"{design}.inversions" in metrics:
-            result.extras["inversions"] = metrics[f"{design}.inversions"]
-            result.extras["invalidate_writes"] = metrics[f"{design}.invalidate_writes"]
-            result.extras["clean_writebacks"] = metrics[f"{design}.clean_writebacks"]
-            result.extras["lit_occupancy"] = metrics[f"{design}.lit_occupancy"]
-        if "policy.benefits" in metrics:
-            result.extras["policy_benefits"] = metrics["policy.benefits"]
-            result.extras["policy_costs"] = metrics["policy.costs"]
-            result.extras["compression_enabled_final"] = metrics[
-                "policy.compression_enabled"
-            ]
-        if self.sampler is not None:
-            result.timeseries = self.sampler.timeseries()
-        return result

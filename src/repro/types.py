@@ -70,16 +70,16 @@ class ReadResult:
     completion: int
     accesses: int = 1
     extra_lines: Dict[int, bytes] = field(default_factory=dict)
-    mispredicted: bool = False
 
 
 @dataclass
 class WriteResult:
-    """Outcome of a controller eviction/writeback operation."""
+    """Placement outcome of a controller eviction/writeback operation.
 
-    writes: int = 0
-    invalidates: int = 0
-    clean_writebacks: int = 0
+    Traffic is counted once, where it happens: by category at the DRAM
+    (``dram.accesses.<category>``) and in the controller's own counters.
+    """
+
     level: Level = Level.UNCOMPRESSED
     #: line addresses whose LLC copies must also be dropped (ganged eviction)
     ganged: List[int] = field(default_factory=list)

@@ -228,16 +228,6 @@ class TraceChunk:
     def __len__(self) -> int:
         return len(self.records)
 
-    def addresses(self):
-        """Virtual line numbers in trace order, as an int64 numpy array."""
-        import numpy as np
-
-        return np.fromiter(
-            (record.vline for record in self.records),
-            dtype=np.int64,
-            count=len(self.records),
-        )
-
     def write_lines(self) -> List[bytes]:
         """Data of the write records, in trace order (duplicates kept)."""
         return [record.write_data for record in self.records if record.is_write]

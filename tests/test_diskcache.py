@@ -8,14 +8,17 @@ handling.
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 
-from repro.sim import runner
+from repro.sim import diskcache, runner
 from repro.sim.config import quick_config
 from repro.sim.diskcache import (
+    SOURCE_ROOT,
     DiskCache,
     cache_key,
+    source_fingerprint,
     stable_identity,
     workload_identity,
 )
@@ -78,6 +81,24 @@ class TestIdentity:
         with pytest.raises(TypeError):
             stable_identity(object())
 
+    def test_source_edit_changes_fingerprint_and_key(self, tmp_path, monkeypatch):
+        """A result cached by other simulator code is never served: the
+        key covers every ``.py`` of the package, not a hand-kept list."""
+        w = get_workload("lbm06")
+        pristine, edited = tmp_path / "pristine", tmp_path / "edited"
+        for copy in (pristine, edited):
+            shutil.copytree(SOURCE_ROOT, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        hashing = edited / "util" / "hashing.py"
+        hashing.write_text(hashing.read_text() + "\n# edited\n")
+
+        assert source_fingerprint(pristine) == source_fingerprint(SOURCE_ROOT)
+        assert source_fingerprint(edited) != source_fingerprint(pristine)
+        key = cache_key(w, "ideal", CFG)
+        monkeypatch.setattr(diskcache, "SOURCE_ROOT", pristine)
+        assert cache_key(w, "ideal", CFG) == key
+        monkeypatch.setattr(diskcache, "SOURCE_ROOT", edited)
+        assert cache_key(w, "ideal", CFG) != key
+
 
 class TestRunnerAliasingRegression:
     def test_same_name_workloads_do_not_share_results(self):
@@ -134,7 +155,7 @@ class TestSerialization:
 
     def test_missing_field_rejected(self):
         payload = small_result().to_json_dict()
-        del payload["dram"]
+        del payload["metrics"]
         with pytest.raises(ResultDecodeError):
             SimResult.from_json_dict(payload)
 
@@ -142,11 +163,35 @@ class TestSerialization:
         with pytest.raises(ResultDecodeError):
             SimResult.from_json("{not json")
 
-    def test_unknown_category_rejected(self):
-        payload = small_result().to_json_dict()
-        payload["dram"]["accesses_by_category"]["warp_traffic"] = 3
-        with pytest.raises(ResultDecodeError):
-            SimResult.from_json_dict(payload)
+    def test_non_number_value_rejected(self):
+        """Only finite JSON numbers decode; anything else would reach the
+        accessors as a different number than the mapping holds."""
+        for section, key, value in (
+            ("metrics", "llc.hits", "12"),
+            ("metrics", "dram.reads", "nan"),
+            ("metrics", "core.0.cycles", True),
+            ("metrics", "dram.writes", float("nan")),
+            ("metrics", "dram.row_hits", float("inf")),
+            ("metrics", "llc.misses", None),
+            ("metrics", "llc.demand_accesses", [1]),
+            ("extras", "sim_seconds", "0.5"),
+            ("extras", "cached", False),
+        ):
+            payload = small_result().to_json_dict()
+            payload[section][key] = value
+            with pytest.raises(ResultDecodeError):
+                SimResult.from_json(json.dumps(payload))
+
+    def test_non_number_entry_is_a_cache_miss(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        key = "ab" * 32
+        cache.put(key, small_result())
+        path = tmp_path / key[:2] / f"{key}.json"
+        payload = json.loads(path.read_text())
+        payload["metrics"]["llc.hits"] = "12"
+        path.write_text(json.dumps(payload))
+        assert cache.get(key) is None
+        assert cache.counters.evicted_corrupt == 1
 
 
 class TestDiskCache:

@@ -419,6 +419,23 @@ class TestWorkerProtocolHttp:
         assert comparable(client.result(job["id"])) == comparable(result)
         assert DiskCache(tmp_path / "simcache").get(claimed.key) is not None
 
+    def test_non_number_upload_rejected(self, paused_daemon):
+        """A string where a metric belongs is a 400, not a silent cast."""
+        client = ServiceClient(paused_daemon.url)
+        job = client.submit("lbm06", "ideal", ops=200, warmup=100)
+        client.claim("w1", lease_seconds=60.0)
+        result = runner.simulate("lbm06", "ideal", CFG, use_cache=False)
+        payload = result.to_json_dict()
+        payload["metrics"]["llc.hits"] = "12"
+        with pytest.raises(ServiceError) as err:
+            client._request(
+                "PUT", f"/jobs/{job['id']}/result", {"worker_id": "w1", "result": payload}
+            )
+        assert err.value.status == 400
+        assert paused_daemon.store.get(job["id"]).state == jobstore.RUNNING
+        done = client.finish(job["id"], "w1", result)  # the intact upload lands
+        assert done.state == jobstore.DONE
+
     def test_sanitized_worker_ids_never_collide(self, paused_daemon):
         client = ServiceClient(paused_daemon.url)
         workers = {"node-1:42": "ideal", "node_1:42": "uncompressed"}

@@ -14,6 +14,11 @@ introduces (``llc.wasted_prefetches``, ``llc.policy_evictions``,
 ``llc.prefetch_victims``): those paths did not exist pre-refactor, so
 they are removed from the comparison rather than invented in the
 fixtures.  Every pre-existing path must match bit for bit.
+
+The fixtures predate the v4 wire format, which keeps only ``metrics``:
+their scalar fields (``core_cycles``, ``dram``, ``l3_hits``, ...) and
+design ``extras`` are each compared with the accessor or metric path
+that now carries the same number.
 """
 
 import json
@@ -37,29 +42,65 @@ CFG = quick_config(ops_per_core=400, warmup_ops=200)
 WORKLOAD = spec_like("golden", seed=11)
 
 
-def run_default(design: str) -> dict:
-    result = SimulatedSystem(WORKLOAD, design, CFG).run()
-    payload = result.to_json_dict()
-    payload["metrics"] = {
-        k: v for k, v in payload["metrics"].items() if k not in ADDED_METRICS
-    }
-    # Envelope-only wire-format churn since the fixtures were captured:
-    # v3 tags a new schema number and an optional (here absent)
-    # ``timeseries`` member.  Neither carries simulation output, so they
-    # are normalised away and every *simulated* value still compares
-    # bit for bit.
-    assert payload.pop("timeseries") is None
-    payload.pop("schema")
-    return payload
+#: Fixture fields that are ``SimResult`` accessors of the same name.
+SCALAR_FIELDS = (
+    "core_cycles",
+    "core_instructions",
+    "l3_hits",
+    "l3_misses",
+    "useful_prefetches",
+    "demand_accesses",
+    "llp_accuracy",
+    "metadata_hit_rate",
+)
+
+#: Fixture ``dram`` fields that are plain ``dram.*`` metric paths.
+DRAM_FIELDS = ("row_hits", "row_misses", "activations", "reads", "writes", "busy_cycles")
+
+#: Fixture ``extras`` keys (pre-v4 design copies) -> their metric paths.
+EXTRAS_PATHS = {
+    "inversions": "ptmc.inversions",
+    "invalidate_writes": "ptmc.invalidate_writes",
+    "clean_writebacks": "ptmc.clean_writebacks",
+    "lit_occupancy": "ptmc.lit_occupancy",
+    "policy_benefits": "policy.benefits",
+    "policy_costs": "policy.costs",
+    "compression_enabled_final": "policy.compression_enabled",
+}
 
 
 @pytest.mark.parametrize("design", DESIGNS)
 def test_default_lru_bitwise_identical_to_prerefactor(design):
     fixture_path = GOLDEN_DIR / f"prepolicy_{design}.json"
     want = json.loads(fixture_path.read_text())
-    want.pop("schema")
-    got = run_default(design)
-    assert got == want
+    result = SimulatedSystem(WORKLOAD, design, CFG).run()
+    # Envelope-only wire-format churn since the fixtures were captured:
+    # a new schema number and an optional (here absent) ``timeseries``
+    # member carry no simulation output.  Every simulated value still
+    # compares bit for bit.
+    assert result.timeseries is None
+    assert (result.workload, result.design) == (want["workload"], want["design"])
+    metrics = {k: v for k, v in result.metrics.items() if k not in ADDED_METRICS}
+    assert metrics == want["metrics"]
+    assert result.extras == {}
+
+    # every legacy field is compared below, none skipped
+    assert set(want) == {
+        "schema", "workload", "design", "metrics", "extras", "dram", *SCALAR_FIELDS
+    }
+    for key in SCALAR_FIELDS:
+        assert getattr(result, key) == want[key], key
+    dram = want["dram"]
+    assert {c.value: n for c, n in result.bandwidth_by_category().items()} == (
+        dram["accesses_by_category"]
+    )
+    for key in DRAM_FIELDS:
+        assert result.metrics[f"dram.{key}"] == dram[key], key
+    # the retired wire-format quirk: the copy was never windowed and
+    # stayed 0; the measured value is compared inside ``metrics`` above
+    assert dram["refresh_stalls"] == 0
+    for key, value in want["extras"].items():
+        assert result.metrics[EXTRAS_PATHS[key]] == value, key
 
 
 @pytest.mark.parametrize("design", DESIGNS)

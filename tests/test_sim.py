@@ -1,5 +1,7 @@
 """Tests for the simulation runner, results and configs."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim.config import bench_config, paper_config, quick_config
@@ -7,7 +9,7 @@ from repro.sim.results import SimResult, geometric_mean, normalized_bandwidth, w
 from repro.sim import clear_cache, compare, simulate, suite_geomean, sweep
 from repro.sim.system import DESIGNS, build_controller
 from repro.dram.storage import PhysicalMemory
-from repro.dram.system import DRAMStats, DRAMSystem
+from repro.dram.system import DRAMSystem
 from repro.types import Category
 from repro.workloads import get_workload
 
@@ -106,20 +108,17 @@ class TestRunner:
 
 
 class TestResults:
-    def _result(self, cycles, reads=100, writes=20):
-        stats = DRAMStats()
-        stats.accesses_by_category = {
-            Category.DATA_READ: reads,
-            Category.DATA_WRITE: writes,
+    def _result(self, cycles, reads=100, writes=20, instructions=1000):
+        metrics = {
+            "dram.accesses.data_read": reads,
+            "dram.accesses.data_write": writes,
+            "dram.reads": reads,
+            "dram.writes": writes,
         }
-        stats.reads, stats.writes = reads, writes
-        return SimResult(
-            workload="w",
-            design="d",
-            core_cycles=[cycles] * 2,
-            core_instructions=[1000] * 2,
-            dram=stats,
-        )
+        for core in range(2):
+            metrics[f"core.{core}.cycles"] = cycles
+            metrics[f"core.{core}.instructions"] = instructions
+        return SimResult(workload="w", design="d", metrics=metrics)
 
     def test_weighted_speedup(self):
         fast, slow = self._result(500), self._result(1000)
@@ -127,8 +126,7 @@ class TestResults:
 
     def test_weighted_speedup_requires_same_traces(self):
         a = self._result(500)
-        b = self._result(500)
-        b.core_instructions = [999] * 2
+        b = self._result(500, instructions=999)
         with pytest.raises(ValueError):
             weighted_speedup(a, b)
 
@@ -141,8 +139,23 @@ class TestResults:
 
     def test_l3_hit_rate(self):
         result = self._result(500)
-        result.l3_hits, result.l3_misses = 30, 70
+        result.metrics.update({"llc.hits": 30, "llc.misses": 70})
         assert result.l3_hit_rate == pytest.approx(0.3)
+
+    def test_accessors_are_views_over_metrics(self):
+        """The registry window is the only record: no field copies it."""
+        assert [f.name for f in dataclasses.fields(SimResult)] == [
+            "workload", "design", "metrics", "extras", "timeseries",
+        ]
+        result = self._result(500, reads=60, writes=0)
+        assert result.bandwidth_by_category() == {Category.DATA_READ: 60}
+        assert result.total_dram_accesses == 60
+        assert result.llp_accuracy is None and result.metadata_hit_rate is None
+        result.metrics.update({"ptmc.llp.accuracy": 0.75, "llc.hits": 12})
+        assert result.llp_accuracy == 0.75
+        decoded = SimResult.from_json(result.to_json())
+        assert decoded.l3_hits == decoded.metrics["llc.hits"] == 12
+        assert decoded.core_cycles == [500, 500]
 
     def test_geometric_mean(self):
         assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)

@@ -21,6 +21,18 @@ from repro.workloads import get_workload
 
 CFG = quick_config(ops_per_core=500, warmup_ops=300)
 
+#: The legacy ``_collect``'s design ``extras`` keys -> the metric paths
+#: that are now their only record.
+EXTRAS_PATHS = {
+    "inversions": "ptmc.inversions",
+    "invalidate_writes": "ptmc.invalidate_writes",
+    "clean_writebacks": "ptmc.clean_writebacks",
+    "lit_occupancy": "ptmc.lit_occupancy",
+    "policy_benefits": "policy.benefits",
+    "policy_costs": "policy.costs",
+    "compression_enabled_final": "policy.compression_enabled",
+}
+
 
 def _legacy_snapshot(system):
     """Baselines for everything the pre-registry ``_snapshot`` captured.
@@ -141,21 +153,22 @@ def test_registry_metrics_match_legacy_accounting(design):
 
     assert result.core_cycles == expected["core_cycles"]
     assert result.core_instructions == expected["core_instructions"]
-    assert dict(result.dram.accesses_by_category) == expected["dram_by_category"]
-    assert result.dram.row_hits == expected["dram_row_hits"]
-    assert result.dram.row_misses == expected["dram_row_misses"]
-    assert result.dram.activations == expected["dram_activations"]
-    assert result.dram.reads == expected["dram_reads"]
-    assert result.dram.writes == expected["dram_writes"]
-    assert result.dram.busy_cycles == expected["dram_busy_cycles"]
-    assert result.dram.refresh_stalls == 0  # legacy wire-format parity
+    assert result.bandwidth_by_category() == expected["dram_by_category"]
+    assert result.metrics["dram.row_hits"] == expected["dram_row_hits"]
+    assert result.metrics["dram.row_misses"] == expected["dram_row_misses"]
+    assert result.metrics["dram.activations"] == expected["dram_activations"]
+    assert result.metrics["dram.reads"] == expected["dram_reads"]
+    assert result.metrics["dram.writes"] == expected["dram_writes"]
+    assert result.metrics["dram.busy_cycles"] == expected["dram_busy_cycles"]
     assert result.l3_hits == expected["l3_hits"]
     assert result.l3_misses == expected["l3_misses"]
     assert result.useful_prefetches == expected["useful_prefetches"]
     assert result.demand_accesses == expected["demand_accesses"]
     assert result.llp_accuracy == expected["llp_accuracy"]
     assert result.metadata_hit_rate == expected["metadata_hit_rate"]
-    assert result.extras == expected["extras"]
+    for key, value in expected["extras"].items():
+        assert result.metrics[EXTRAS_PATHS[key]] == value, key
+    assert result.extras == {}
 
 
 @pytest.mark.parametrize("design", DESIGNS)
