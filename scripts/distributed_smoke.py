@@ -7,8 +7,10 @@ HTTP, no local execution) plus two ``repro worker`` subprocesses, then:
 1. asserts an unauthenticated mutating request is rejected with 401
    (the daemon runs with a bearer token),
 2. submits a 40-job sweep over HTTP,
-3. SIGKILLs one worker while it holds leased jobs, and asserts the
-   lease reaper re-queues them (``worker.lease_expirations`` on
+3. checks every running row it lists holds the daemon's lease
+   (``lease_until - updated_at == --lease-seconds``: the workers are not
+   told the lease, they follow the grant), SIGKILLs one worker while it
+   holds leased jobs, and asserts the lease reaper re-queues them (``worker.lease_expirations`` on
    ``/metrics``) so the surviving worker finishes the sweep,
 4. verifies every job completed and spot-checks served results
    byte-for-byte against direct in-process ``simulate()`` runs,
@@ -127,7 +129,6 @@ def main() -> None:
                         "--cache-dir", str(workdir / f"{name}-cache"),
                         "worker", "--url", url, "--worker-id", name,
                         "--workers", "2",
-                        "--lease-seconds", str(LEASE_SECONDS),
                         "--poll", "0.1", "--quiet",
                     ],
                     base_env,
@@ -138,10 +139,13 @@ def main() -> None:
         print("workers wa and wb claiming")
 
         def running_for(worker_id):
-            return [
-                j for j in client.jobs(state="running", limit=JOBS)
-                if j.get("worker_id") == worker_id
-            ]
+            running = client.jobs(state="running", limit=JOBS)
+            for j in running:
+                granted = j["lease_until"] - j["updated_at"]
+                if abs(granted - LEASE_SECONDS) > 1e-6:
+                    fail(f"job {j['id']} holds a {granted}s lease, "
+                         f"not the daemon's {LEASE_SECONDS}s")
+            return [j for j in running if j.get("worker_id") == worker_id]
 
         # wait until the doomed worker actually holds leases
         deadline = time.monotonic() + 60

@@ -34,6 +34,7 @@ already cached completes instantly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import signal
@@ -518,7 +519,6 @@ def cmd_worker(args) -> int:
         queue=ServiceClient(args.url, token=args.token),
         worker_id=args.worker_id,
         concurrency=args.workers,
-        lease_seconds=args.lease_seconds,
         poll_interval=args.poll,
         drain_seconds=args.drain_seconds,
         log=StructuredLog(stream=None if args.quiet else sys.stderr),
@@ -527,7 +527,7 @@ def cmd_worker(args) -> int:
     _stop_on_signals(worker)
     print(
         f"repro worker {worker.worker_id} draining {worker.queue.url} "
-        f"(concurrency={worker.concurrency}, lease={worker.lease_seconds:g}s)",
+        f"(concurrency={worker.concurrency})",
         flush=True,
     )
     stats = worker.run()
@@ -629,6 +629,20 @@ def _days(text: str) -> float:
     return days
 
 
+def _seconds(text: str, zero_ok: bool = False) -> float:
+    """A duration flag: a finite number of seconds > 0 (>= 0 if ``zero_ok``)."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not math.isfinite(seconds) or seconds < 0 or (seconds == 0 and not zero_ok):
+        bound = ">=" if zero_ok else ">"
+        raise argparse.ArgumentTypeError(
+            f"{text} is not a finite number of seconds {bound} 0"
+        )
+    return seconds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -714,20 +728,20 @@ def build_parser() -> argparse.ArgumentParser:
     waiting = argparse.ArgumentParser(add_help=False)
     waiting.add_argument(
         "--timeout",
-        type=float,
+        type=_seconds,
         default=None,
         help="give up waiting after this many seconds",
     )
     waiting.add_argument(
         "--poll",
-        type=float,
+        type=_seconds,
         default=0.2,
         help="poll interval while waiting (seconds)",
     )
     draining = argparse.ArgumentParser(add_help=False)
     draining.add_argument(
         "--drain-seconds",
-        type=float,
+        type=functools.partial(_seconds, zero_ok=True),
         default=30.0,
         help="grace period for in-flight jobs on SIGTERM/SIGINT",
     )
@@ -899,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--job-timeout",
-        type=float,
+        type=_seconds,
         default=None,
         help="per-job deadline in seconds (default: none)",
     )
@@ -917,14 +931,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--lease-seconds",
-        type=float,
+        type=_seconds,
         default=30.0,
-        help="work-lease duration for claimed jobs; a worker that stops "
+        help="work-lease duration for claimed jobs, the same for every "
+        "worker (they renew at half of it); a worker that stops "
         "heartbeating loses its jobs after this long",
     )
     serve.add_argument(
         "--reaper-interval",
-        type=float,
+        type=_seconds,
         default=1.0,
         help="how often the daemon scans for expired leases (seconds)",
     )
@@ -951,14 +966,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, help="simulation worker processes"
     )
     worker.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=15.0,
-        help="lease duration requested per claim (renewed at half-lease)",
-    )
-    worker.add_argument(
         "--poll",
-        type=float,
+        type=_seconds,
         default=0.5,
         help="idle poll interval when the queue is empty (seconds)",
     )
@@ -974,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--priority", type=int, default=0)
     submit.add_argument("--max-attempts", type=int, default=None)
     submit.add_argument(
-        "--job-timeout", type=float, default=None, help="per-job deadline (seconds)"
+        "--job-timeout", type=_seconds, default=None, help="per-job deadline (seconds)"
     )
     submit.add_argument(
         "--wait", action="store_true", help="block until the job finishes"

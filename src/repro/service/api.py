@@ -5,16 +5,18 @@ Routes (all JSON in, JSON out)::
     POST   /jobs             submit {workload, design, config?, priority?,
                              max_attempts?, timeout?} -> job (201 created,
                              200 when joined/served-from-cache)
-    GET    /jobs             list jobs (?state=queued&limit=50)
+    GET    /jobs             list jobs (?state=queued&limit=50; limit is a
+                             positive integer)
     GET    /jobs/<id>        one job
     GET    /jobs/<id>/result the finished job's SimResult JSON
     DELETE /jobs/<id>        cancel a queued job
     POST   /jobs/claim       lease the best queued job to a worker
-                             {worker_id, lease_seconds?} -> job or
-                             {"job": null} when the queue is empty
+                             {worker_id} -> job or {"job": null} when
+                             the queue is empty; the lease length is
+                             the daemon's (``serve --lease-seconds``)
     POST   /jobs/<id>/heartbeat
-                             renew a worker's lease {worker_id,
-                             lease_seconds?}; 409 when the lease is lost
+                             renew a worker's lease {worker_id}; 409
+                             when the lease is lost
     PUT    /jobs/<id>/result upload a worker's finished result
                              {worker_id, result, source?}; the daemon
                              caches it and marks the job done
@@ -33,7 +35,9 @@ Routes (all JSON in, JSON out)::
                              exposition (scrapeable by stock tooling)
 
 Errors are ``{"error": <message>}`` with a meaningful status: 400 for a
-bad submission, 401 for a missing/invalid bearer token on a mutating
+bad submission (including a non-integer ``priority``, a
+``max_attempts`` below 1, a non-finite or non-positive ``timeout``) or
+a bad ``limit``, 401 for a missing/invalid bearer token on a mutating
 route, 404 unknown job, 409 for result-of-unfinished, cancel-of-running
 or a lost lease, 410 when a done job's cache entry was pruned, 429
 (with ``Retry-After``) under queue backpressure.
@@ -264,22 +268,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(201 if created else 200, {"job": job.as_dict(), "created": created})
 
     def _claim_job(self) -> None:
-        worker_id, lease = _worker_fields(self._body())
-        job = self.daemon_ref.claim(worker_id=worker_id, lease_seconds=lease)
+        job = self.daemon_ref.claim(worker_id=_worker_fields(self._body()))
         self._reply(200, {"job": job.as_dict() if job is not None else None})
 
     def _heartbeat_job(self, job_id: str) -> None:
-        worker_id, lease = _worker_fields(self._body())
-        self._lease_call(
-            self.daemon_ref.heartbeat,
-            job_id=job_id,
-            worker_id=worker_id,
-            lease_seconds=lease,
-        )
+        worker_id = _worker_fields(self._body())
+        self._lease_call(self.daemon_ref.heartbeat, job_id=job_id, worker_id=worker_id)
 
     def _fail_job(self, job_id: str) -> None:
         payload = self._body()
-        worker_id, _lease = _worker_fields(payload)
+        worker_id = _worker_fields(payload)
         error = str(payload.get("error") or "worker reported failure")
         self._lease_call(
             self.daemon_ref.fail, job_id=job_id, worker_id=worker_id, error=error
@@ -289,7 +287,7 @@ class _Handler(BaseHTTPRequestHandler):
         if job_id is None or sub != "result":
             raise ApiError(404, "PUT only to /jobs/<id>/result")
         payload = self._body(max_bytes=MAX_RESULT_BODY_BYTES)
-        worker_id, _lease = _worker_fields(payload)
+        worker_id = _worker_fields(payload)
         result_dict = payload.get("result")
         if not isinstance(result_dict, dict):
             raise ApiError(400, "'result' must be a SimResult JSON object")
@@ -325,8 +323,10 @@ class _Handler(BaseHTTPRequestHandler):
             state = (query.get("state") or [None])[0]
             if state is not None and state not in jobstore.STATES:
                 raise ApiError(400, f"unknown state {state!r}")
-            limit = int((query.get("limit") or ["100"])[0])
-            jobs = self.daemon_ref.store.list_jobs(state=state, limit=limit)
+            limit = (query.get("limit") or ["100"])[0]
+            if not limit.isdecimal() or not 0 < int(limit) < 2**63:
+                raise ApiError(400, f"limit must be a positive integer, not {limit!r}")
+            jobs = self.daemon_ref.store.list_jobs(state=state, limit=int(limit))
             self._reply(200, {"jobs": [job.as_dict() for job in jobs]})
             return
         job = self._job(job_id)
@@ -400,20 +400,14 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(200, {"metrics": self.daemon_ref.metrics()})
 
 
-def _worker_fields(payload: Any) -> Tuple[str, Optional[float]]:
-    """``(worker_id, lease_seconds)`` from a worker-route payload."""
+def _worker_fields(payload: Any) -> str:
+    """The ``worker_id`` of a worker-route payload."""
     if not isinstance(payload, dict):
         raise ApiError(400, "worker payload must be a JSON object")
     worker_id = payload.get("worker_id")
     if not isinstance(worker_id, str) or not worker_id:
         raise ApiError(400, "'worker_id' is a required string")
-    lease = payload.get("lease_seconds")
-    if lease is None:
-        return worker_id, None
-    lease = float(lease)
-    if lease < 0:
-        raise ApiError(400, "lease_seconds must be > 0")
-    return worker_id, lease or None  # 0 asks for the daemon's default
+    return worker_id
 
 
 def make_server(

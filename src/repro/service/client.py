@@ -194,18 +194,13 @@ class ServiceClient:
     # The same four signatures as ServiceDaemon's, so a Worker runs
     # unchanged against either; a 404/409 becomes LeaseLostError.
 
-    def claim(
-        self, worker_id: str, lease_seconds: Optional[float] = None
-    ) -> Optional[Job]:
+    def claim(self, worker_id: str) -> Optional[Job]:
         """Lease the best queued job; ``None`` when the queue is empty."""
-        payload = {"worker_id": worker_id, "lease_seconds": lease_seconds}
-        return self._queue_call("POST", "/jobs/claim", payload)
+        return self._queue_call("POST", "/jobs/claim", {"worker_id": worker_id})
 
-    def heartbeat(
-        self, job_id: str, worker_id: str, lease_seconds: Optional[float] = None
-    ) -> Job:
+    def heartbeat(self, job_id: str, worker_id: str) -> Job:
         """Renew a lease; raises :class:`LeaseLostError` when it is gone."""
-        payload = {"worker_id": worker_id, "lease_seconds": lease_seconds}
+        payload = {"worker_id": worker_id}
         return self._queue_call("POST", f"/jobs/{job_id}/heartbeat", payload)
 
     def finish(

@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import os
 import re
+import sys
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -102,7 +104,6 @@ class ServiceStats:
     dedup_active: int = 0
     #: submissions served instantly from the shared disk cache
     dedup_cache: int = 0
-    orphans_recovered: int = 0
     drain_requeued: int = 0
 
     # Distribution stats (not dataclass fields: they live in the registry
@@ -133,6 +134,25 @@ class ServiceStats:
         self.http_request_seconds = scope.histogram(
             "http_request_seconds", doc="HTTP request handling duration"
         )
+
+
+def _integer(
+    payload: Dict[str, Any], name: str, default: int, low: Optional[int] = None
+) -> int:
+    """``payload[name]`` as a JSON integer ``>= low`` that SQLite can store.
+
+    Bools are rejected: ``true`` is not a priority or an attempt count.
+    """
+    value = payload.get(name, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or not -(2**63) <= value < 2**63
+        or (low is not None and value < low)
+    ):
+        bound = "" if low is None else f" >= {low}"
+        raise SubmitError(f"{name!r} must be an integer{bound}, not {value!r}")
+    return value
 
 
 def _worker_path_segment(worker_id: str) -> str:
@@ -241,6 +261,10 @@ class ServiceDaemon:
         reaper_interval: float = 1.0,
         max_queued: int = 10_000,
     ) -> None:
+        if not (math.isfinite(lease_seconds) and lease_seconds > 0):
+            raise ValueError(
+                f"lease_seconds must be a finite number > 0, not {lease_seconds!r}"
+            )
         self.store = JobStore(db_path)
         if cache_dir is not None:
             self.cache = DiskCache(cache_dir)
@@ -265,6 +289,7 @@ class ServiceDaemon:
         self.token = (
             token if token is not None else os.environ.get(SERVICE_TOKEN_ENV) or None
         )
+        #: the one lease length: every claim and renewal is granted it
         self.lease_seconds = lease_seconds
         self.reaper_interval = reaper_interval
         #: queued-row ceiling for backpressure (0 = unbounded)
@@ -285,7 +310,6 @@ class ServiceDaemon:
                 queue=self,
                 worker_id=f"local:{os.getpid()}",
                 concurrency=workers,
-                lease_seconds=lease_seconds,
                 poll_interval=0.05,
                 drain_seconds=drain_seconds,
                 cache_dir=str(self.cache.root),
@@ -364,12 +388,19 @@ class ServiceDaemon:
             config = config_from_overrides(config_overrides)
         except (TypeError, ValueError) as exc:
             raise SubmitError(f"bad config overrides: {exc}") from None
-        priority = int(payload.get("priority", 0))
-        max_attempts = int(payload.get("max_attempts", self.max_attempts))
+        priority = _integer(payload, "priority", 0)
+        max_attempts = _integer(payload, "max_attempts", self.max_attempts, low=1)
         # The resolved deadline is stored on the row, so every worker —
         # local or remote — enforces the same one.
         timeout = payload.get("timeout")
-        timeout = float(timeout) if timeout is not None else self.default_timeout
+        if timeout is None:
+            timeout = self.default_timeout
+        elif (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0 < timeout <= sys.float_info.max
+        ):
+            raise SubmitError(f"'timeout' must be a finite number > 0, not {timeout!r}")
         key = cache_key(workload, design, config)
         if self.stats.queue_depth_samples is not None:
             self.stats.queue_depth_samples.observe(
@@ -479,13 +510,10 @@ class ServiceDaemon:
     # Called in-process by the local Worker and through api.py by remote
     # ones; ServiceClient mirrors these four signatures over HTTP.
 
-    def claim(
-        self, worker_id: str, lease_seconds: Optional[float] = None
-    ) -> Optional[Job]:
+    def claim(self, worker_id: str) -> Optional[Job]:
         """Lease the best queued job to ``worker_id`` (``None`` = empty)."""
-        lease = lease_seconds or self.lease_seconds
         self.workers_seen.seen(worker_id)
-        job = self.store.claim(worker_id=worker_id, lease_seconds=lease)
+        job = self.store.claim(worker_id, self.lease_seconds)
         if job is not None:
             async_begin(
                 "service.job",
@@ -501,19 +529,15 @@ class ServiceDaemon:
                 design=job.design,
                 worker_id=worker_id,
                 attempt=job.attempts,
-                lease_seconds=lease,
+                lease_seconds=self.lease_seconds,
             )
         return job
 
-    def heartbeat(
-        self, job_id: str, worker_id: str, lease_seconds: Optional[float] = None
-    ) -> Job:
+    def heartbeat(self, job_id: str, worker_id: str) -> Job:
         """Renew a worker's lease; raises :class:`LeaseLostError` if gone."""
         self.workers_seen.seen(worker_id)
         job = self.store.find(job_id)  # KeyError -> 404 at the API layer
-        if not self.store.heartbeat(
-            job.id, worker_id, lease_seconds or self.lease_seconds
-        ):
+        if not self.store.heartbeat(job.id, worker_id, self.lease_seconds):
             raise LeaseLostError(
                 f"job {job.id} is not leased to worker {worker_id!r} "
                 f"(state {self.store.get(job.id).state})"
@@ -537,7 +561,7 @@ class ServiceDaemon:
                 f"result is for design {result.design!r}, job wants {job.design!r}"
             )
         self.cache.put(job.key, result)
-        if not self.store.finish(job.id, source, worker_id=worker_id):
+        if not self.store.finish(job.id, source, worker_id):
             raise LeaseLostError(
                 f"job {job.id} is no longer leased to worker {worker_id!r}; "
                 f"result cached but job state unchanged"
@@ -568,7 +592,7 @@ class ServiceDaemon:
             delay = min(
                 self.backoff_base * BACKOFF_FACTOR ** (job.attempts - 1), BACKOFF_MAX
             )
-        if not self.store.fail(job.id, error, retry_delay=delay, worker_id=worker_id):
+        if not self.store.fail(job.id, error, worker_id, retry_delay=delay):
             raise LeaseLostError(
                 f"job {job.id} is no longer leased to worker {worker_id!r}"
             )
@@ -608,7 +632,12 @@ class ServiceDaemon:
     # -- lease reaper ----------------------------------------------------
 
     def reap_leases(self) -> List[Job]:
-        """One reaper pass: requeue/fail every job whose lease lapsed."""
+        """One reaper pass: requeue/fail every job whose lease lapsed.
+
+        This is the only recovery path: the rows a crashed daemon, a
+        killed worker or a pre-lease database left ``running`` all lapse
+        and come back here.
+        """
         reaped = self.store.reap_expired()
         for job in reaped:
             self.workers_seen.lease_expired(job.worker_id)
@@ -653,12 +682,7 @@ class ServiceDaemon:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Start HTTP, the lease reaper and the local worker on threads.
-
-        Boot recovers only *lease-less* ``running`` rows (left by a
-        crashed legacy executor); leased rows are the reaper's business
-        — a live remote worker may still hold them.
-        """
+        """Start HTTP, the lease reaper and the local worker on threads."""
         self._http_thread = threading.Thread(
             target=self.server.serve_forever, name="repro-service-http", daemon=True
         )
@@ -667,12 +691,8 @@ class ServiceDaemon:
             target=self._reaper_loop, name="repro-service-reaper", daemon=True
         )
         self._reaper_thread.start()
-        orphans = self.store.recover_orphans(only_leaseless=True)
-        self.stats.orphans_recovered += len(orphans)
         self.log.event(
-            "scheduler_started",
-            workers=self.worker.concurrency if self.worker else 0,
-            orphans_recovered=len(orphans),
+            "scheduler_started", workers=self.worker.concurrency if self.worker else 0
         )
         if self.worker is not None:
             self._worker_thread = threading.Thread(
@@ -708,7 +728,7 @@ class ServiceDaemon:
         if self.worker is not None:
             for job in self.store.list_jobs(state=jobstore.RUNNING, limit=-1):
                 if job.worker_id == self.worker.worker_id:
-                    self.store.requeue(job.id, refund_attempt=True)
+                    self.store.requeue(job.id)
                     self.stats.drain_requeued += 1
                     async_end(
                         "service.job", job.id, category="service", outcome="drained"

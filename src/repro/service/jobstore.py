@@ -276,23 +276,17 @@ class JobStore:
     # -- worker side -----------------------------------------------------
 
     def claim(
-        self,
-        now: Optional[float] = None,
-        worker_id: Optional[str] = None,
-        lease_seconds: Optional[float] = None,
+        self, worker_id: str, lease_seconds: float, now: Optional[float] = None
     ) -> Optional[Job]:
         """Atomically lease the best eligible queued job to one worker.
 
         Eligibility honours backoff (``not_before``); ordering is
         priority (higher first), then FIFO on submission time.  The
-        claimed row records ``worker_id`` and, when ``lease_seconds``
-        is given, ``lease_until = now + lease_seconds`` — the deadline
-        by which the worker must :meth:`heartbeat` or lose the job to
-        :meth:`reap_expired`.  A claim without a lease (legacy callers)
-        is never reaped.
+        claimed row records ``worker_id`` and ``lease_until = now +
+        lease_seconds`` — the deadline by which the worker must
+        :meth:`heartbeat` or lose the job to :meth:`reap_expired`.
         """
         now = time.time() if now is None else now
-        lease_until = (now + lease_seconds) if lease_seconds else None
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
@@ -308,7 +302,7 @@ class JobStore:
                     "UPDATE jobs SET state = ?, attempts = attempts + 1, "
                     "started_at = ?, updated_at = ?, worker_id = ?, "
                     "lease_until = ? WHERE id = ?",
-                    (RUNNING, now, now, worker_id, lease_until, row["id"]),
+                    (RUNNING, now, now, worker_id, now + lease_seconds, row["id"]),
                 )
                 self._conn.commit()
             except BaseException:
@@ -319,8 +313,8 @@ class JobStore:
     def heartbeat(
         self,
         job_id: str,
-        worker_id: Optional[str] = None,
-        lease_seconds: float = 30.0,
+        worker_id: str,
+        lease_seconds: float,
         now: Optional[float] = None,
     ) -> bool:
         """Renew one running job's lease; ``False`` means the lease is lost.
@@ -334,7 +328,7 @@ class JobStore:
         with self._lock:
             cur = self._conn.execute(
                 "UPDATE jobs SET lease_until = ?, updated_at = ? "
-                "WHERE id = ? AND state = ? AND worker_id IS ?",
+                "WHERE id = ? AND state = ? AND worker_id = ?",
                 (now + lease_seconds, now, job_id, RUNNING, worker_id),
             )
             self._conn.commit()
@@ -343,9 +337,11 @@ class JobStore:
     def reap_expired(self, now: Optional[float] = None) -> List[Job]:
         """Re-queue (or terminally fail) every job whose lease lapsed.
 
-        The claim's attempt is *not* refunded — a job whose worker keeps
-        dying must still exhaust its bounded retries.  A job already on
-        its last attempt fails terminally here rather than looping.
+        A ``running`` row without a lease (written before leases
+        existed) counts as lapsed.  The claim's attempt is *not*
+        refunded — a job whose worker keeps dying must still exhaust its
+        bounded retries.  A job already on its last attempt fails
+        terminally here rather than looping.
         Returns the reaped jobs as they were *before* reaping (so the
         caller can see which worker lost each lease).
         """
@@ -353,7 +349,7 @@ class JobStore:
         with self._lock:
             rows = self._conn.execute(
                 "SELECT * FROM jobs WHERE state = ? "
-                "AND lease_until IS NOT NULL AND lease_until < ?",
+                "AND (lease_until IS NULL OR lease_until < ?)",
                 (RUNNING, now),
             ).fetchall()
             expired = [_row_to_job(row) for row in rows]
@@ -384,95 +380,70 @@ class JobStore:
             self._conn.commit()
         return expired
 
-    def finish(
-        self, job_id: str, source: str, worker_id: Optional[str] = None
-    ) -> bool:
+    def finish(self, job_id: str, source: str, worker_id: str) -> bool:
         """``running -> done`` (result already persisted in the disk cache).
 
-        When ``worker_id`` is given the transition is owner-guarded:
-        ``False`` means the caller no longer holds the lease (the job
-        was reaped and re-queued or handed to another worker).
+        Owner-guarded: ``False`` means ``worker_id`` no longer holds the
+        lease (the job was reaped and re-queued or handed to another
+        worker).
         """
-        return self._transition(
-            job_id, RUNNING, DONE, source=source, worker_id=worker_id
-        )
+        now = time.time()
+        with self._lock:
+            cur = self._conn.execute(
+                "UPDATE jobs SET state = ?, source = ?, updated_at = ?, "
+                "finished_at = ?, lease_until = NULL "
+                "WHERE id = ? AND state = ? AND worker_id = ?",
+                (DONE, source, now, now, job_id, RUNNING, worker_id),
+            )
+            self._conn.commit()
+            return cur.rowcount > 0
 
     def fail(
         self,
         job_id: str,
         error: str,
+        worker_id: str,
         retry_delay: Optional[float] = None,
-        worker_id: Optional[str] = None,
     ) -> bool:
         """``running -> failed``, or back to ``queued`` after ``retry_delay``.
 
         The retrying path clears the claim bookkeeping (``started_at``,
         ``worker_id``, ``lease_until``) exactly like requeue/reap do, so
-        a re-queued row never carries a stale claim.  Owner-guarded when
-        ``worker_id`` is given (see :meth:`finish`).
+        a re-queued row never carries a stale claim.  Owner-guarded like
+        :meth:`finish`.
         """
         now = time.time()
-        guard = "" if worker_id is None else " AND worker_id IS ?"
-        guard_args = () if worker_id is None else (worker_id,)
         with self._lock:
             if retry_delay is None:
                 cur = self._conn.execute(
                     "UPDATE jobs SET state = ?, error = ?, updated_at = ?, "
                     "finished_at = ?, lease_until = NULL "
-                    f"WHERE id = ? AND state = ?{guard}",
-                    (FAILED, error, now, now, job_id, RUNNING, *guard_args),
+                    "WHERE id = ? AND state = ? AND worker_id = ?",
+                    (FAILED, error, now, now, job_id, RUNNING, worker_id),
                 )
             else:
                 cur = self._conn.execute(
                     "UPDATE jobs SET state = ?, error = ?, not_before = ?, "
                     "started_at = NULL, worker_id = NULL, lease_until = NULL, "
-                    f"updated_at = ? WHERE id = ? AND state = ?{guard}",
+                    "updated_at = ? WHERE id = ? AND state = ? AND worker_id = ?",
                     (QUEUED, error, now + retry_delay, now, job_id, RUNNING,
-                     *guard_args),
+                     worker_id),
                 )
             self._conn.commit()
             return cur.rowcount > 0
 
-    def requeue(self, job_id: str, refund_attempt: bool = False) -> None:
-        """``running -> queued`` (graceful drain; optionally refund the claim)."""
+    def requeue(self, job_id: str) -> None:
+        """``running -> queued`` with the claim's attempt refunded (drain)."""
         now = time.time()
-        refund = 1 if refund_attempt else 0
         with self._lock:
             self._conn.execute(
                 "UPDATE jobs SET state = ?, not_before = 0, started_at = NULL, "
                 "worker_id = NULL, lease_until = NULL, "
-                "attempts = MAX(attempts - ?, 0), updated_at = ? "
+                "attempts = MAX(attempts - 1, 0), updated_at = ? "
                 "WHERE id = ? AND state = ?",
-                (QUEUED, refund, now, job_id, RUNNING),
+                (QUEUED, now, job_id, RUNNING),
             )
             self._conn.commit()
-
-    def recover_orphans(self, only_leaseless: bool = False) -> List[Job]:
-        """Re-queue ``running`` jobs abandoned by a crash (daemon boot).
-
-        ``only_leaseless=True`` restricts recovery to rows claimed
-        without a lease (legacy lease-less executors): *leased* rows
-        are left for the continuous reaper (:meth:`reap_expired`), since
-        a live remote worker may still legitimately hold them across a
-        daemon restart.  Unlike a graceful drain, the claim's attempt is
-        *not* refunded — a job that keeps crashing the daemon must still
-        exhaust its bounded retries instead of looping forever.
-        """
-        now = time.time()
-        lease_filter = " AND lease_until IS NULL" if only_leaseless else ""
-        with self._lock:
-            rows = self._conn.execute(
-                f"SELECT id FROM jobs WHERE state = ?{lease_filter}", (RUNNING,)
-            ).fetchall()
-            ids = [row["id"] for row in rows]
-            self._conn.execute(
-                "UPDATE jobs SET state = ?, not_before = 0, started_at = NULL, "
-                "worker_id = NULL, lease_until = NULL, "
-                f"updated_at = ? WHERE state = ?{lease_filter}",
-                (QUEUED, now, RUNNING),
-            )
-            self._conn.commit()
-        return [self.get(job_id) for job_id in ids]
 
     # -- client side -----------------------------------------------------
 
@@ -552,29 +523,6 @@ class JobStore:
         for row in rows:
             counts[row["state"]] = row["n"]
         return counts
-
-    # -- internals -------------------------------------------------------
-
-    def _transition(
-        self,
-        job_id: str,
-        from_state: str,
-        to_state: str,
-        source: Optional[str],
-        worker_id: Optional[str] = None,
-    ) -> bool:
-        now = time.time()
-        guard = "" if worker_id is None else " AND worker_id IS ?"
-        guard_args = () if worker_id is None else (worker_id,)
-        with self._lock:
-            cur = self._conn.execute(
-                "UPDATE jobs SET state = ?, source = ?, updated_at = ?, "
-                "finished_at = ?, lease_until = NULL "
-                f"WHERE id = ? AND state = ?{guard}",
-                (to_state, source, now, now, job_id, from_state, *guard_args),
-            )
-            self._conn.commit()
-            return cur.rowcount > 0
 
 
 __all__ = [

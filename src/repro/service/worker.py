@@ -6,8 +6,8 @@ sweep engine's primitives (:func:`repro.sim.parallel.init_worker` /
 :func:`repro.sim.parallel.run_job`).  It talks to the queue through four
 calls and nothing else::
 
-    claim(worker_id, lease_seconds) -> Optional[Job]
-    heartbeat(job_id, worker_id, lease_seconds)
+    claim(worker_id) -> Optional[Job]
+    heartbeat(job_id, worker_id)
     finish(job_id, worker_id, result, source)
     fail(job_id, worker_id, error)
 
@@ -16,9 +16,10 @@ Exactly two objects provide them: the
 ``local:<pid>`` worker) and :class:`~repro.service.client.ServiceClient`
 over HTTP (``repro worker`` on any machine).  Both raise
 :class:`~repro.service.jobstore.LeaseLostError` when the caller no
-longer holds the job's lease.  All policy — retry and backoff, stats,
-spans, worker tracking, writing the result to the daemon's cache —
-lives behind those calls in the daemon; the worker only executes.
+longer holds the job's lease.  All policy — the lease length, retry and
+backoff, stats, spans, worker tracking, writing the result to the
+daemon's cache — lives behind those calls in the daemon; the worker only
+executes.
 
 One pass of the loop:
 
@@ -32,8 +33,10 @@ One pass of the loop:
    their existing lease, so they are not charged an attempt.  A future
    that completed after its deadline but before the check is spared.
 3. **Claim** until ``concurrency`` jobs are in flight.
-4. **Heartbeat** each in-flight job at half-lease cadence.  A lost lease
-   abandons the attempt: nothing is reported for that job.
+4. **Heartbeat** each in-flight job at half the lease the daemon granted
+   it (``lease_until - updated_at`` of the claimed row, both on the
+   daemon's clock).  A lost lease abandons the attempt: nothing is
+   reported for that job.
 
 Drain (:meth:`Worker.request_stop`, wired to SIGTERM/SIGINT): stop
 claiming, finish in-flight jobs for up to ``drain_seconds``, then kill
@@ -109,6 +112,11 @@ class _Flight:
     #: next lease renewal time
     renew_at: float
 
+    def renew_later(self) -> None:
+        """Schedule the next renewal at half the granted lease from now."""
+        granted = self.job.lease_until - self.job.updated_at
+        self.renew_at = time.time() + granted / 2
+
 
 class Worker:
     """Drains a job queue through a local process pool."""
@@ -118,7 +126,6 @@ class Worker:
         queue,
         worker_id: Optional[str] = None,
         concurrency: int = 1,
-        lease_seconds: float = 15.0,
         poll_interval: float = 0.5,
         drain_seconds: float = 30.0,
         cache_dir: Optional[str] = None,
@@ -130,7 +137,6 @@ class Worker:
         self.queue = queue
         self.worker_id = worker_id or default_worker_id()
         self.concurrency = max(1, concurrency)
-        self.lease_seconds = lease_seconds
         self.poll_interval = poll_interval
         self.drain_seconds = drain_seconds
         if cache_dir is None and runner.disk_cache() is not None:
@@ -172,7 +178,6 @@ class Worker:
             "worker_started",
             worker_id=self.worker_id,
             concurrency=self.concurrency,
-            lease_seconds=self.lease_seconds,
         )
         self._pool = self._new_pool()
         try:
@@ -226,7 +231,7 @@ class Worker:
         claimed = False
         while len(self._inflight) < self.concurrency:
             try:
-                job = self.queue.claim(self.worker_id, self.lease_seconds)
+                job = self.queue.claim(self.worker_id)
             except ServiceError as exc:
                 # Unreachable/throttled daemon: back off one poll interval.
                 self.log.event(
@@ -256,7 +261,8 @@ class Worker:
             self.stats.invalid += 1
             self._report_failure(job.id, f"invalid job: {exc}")
             return
-        flight = _Flight(job, args, None, None, time.time() + self.lease_seconds / 2)
+        flight = _Flight(job, args, None, None, 0.0)
+        flight.renew_later()
         self._submit(flight)
         self._inflight[job.id] = flight
         self.log.event(
@@ -276,7 +282,7 @@ class Worker:
             if now < flight.renew_at or flight.future.done():
                 continue
             try:
-                self.queue.heartbeat(job_id, self.worker_id, self.lease_seconds)
+                self.queue.heartbeat(job_id, self.worker_id)
             except LeaseLostError:
                 # Reaped (presumed dead): abandon the attempt — nothing
                 # is reported for this id.
@@ -294,7 +300,7 @@ class Worker:
                     job_id=job_id,
                     error=str(exc),
                 )
-            flight.renew_at = time.time() + self.lease_seconds / 2
+            flight.renew_later()
 
     # -- harvest / deadlines ---------------------------------------------
 

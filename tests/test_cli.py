@@ -424,6 +424,22 @@ class TestCachePrune:
         assert "newest_age_seconds" in out
 
 
+#: Every duration flag (seconds), one entry per verb that takes it.
+SECONDS_FLAGS = [
+    ["serve", "--lease-seconds"],
+    ["serve", "--reaper-interval"],
+    ["serve", "--job-timeout"],
+    ["serve", "--drain-seconds"],
+    ["worker", "--drain-seconds"],
+    ["worker", "--poll"],
+    ["submit", "lbm06", "ideal", "--job-timeout"],
+    ["submit", "lbm06", "ideal", "--timeout"],
+    ["submit", "lbm06", "ideal", "--poll"],
+    ["wait", "abc123", "--timeout"],
+    ["wait", "abc123", "--poll"],
+]
+
+
 class TestServiceParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -432,6 +448,35 @@ class TestServiceParser:
         assert args.workers == 2
         assert args.max_attempts == 3
         assert args.drain_seconds == 30.0
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (argv, value)
+            for argv in SECONDS_FLAGS
+            for value in ("nan", "inf", "-1", "0")
+            if (argv[-1], value) != ("--drain-seconds", "0")
+        ],
+    )
+    def test_seconds_flags_reject_non_finite_and_non_positive(
+        self, capsys, argv, value
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + [value])
+        assert excinfo.value.code == 2
+        assert argv[-1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["serve", "worker"])
+    def test_drain_seconds_may_be_zero(self, verb):
+        args = build_parser().parse_args([verb, "--drain-seconds", "0"])
+        assert args.drain_seconds == 0.0
+
+    def test_worker_has_no_lease_option(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["worker", "--help"])
+        assert "--lease-seconds" not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["worker", "--lease-seconds", "5"])
 
     def test_submit_args(self):
         args = build_parser().parse_args(

@@ -9,8 +9,10 @@ arbitrary operation interleavings.
 """
 
 import inspect
+import math
 import os
 import shutil
+import sqlite3
 import tempfile
 import threading
 import time
@@ -82,12 +84,6 @@ class TestLeases:
         assert job.worker_id == "w1"
         assert job.lease_until == 130.0
 
-    def test_leaseless_claim_is_never_reaped(self, store):
-        submit(store)
-        job = store.claim(worker_id="w1")
-        assert job.lease_until is None
-        assert store.reap_expired(now=time.time() + 10_000) == []
-
     def test_heartbeat_extends_lease(self, store):
         submit(store)
         job = store.claim(now=100.0, worker_id="w1", lease_seconds=30.0)
@@ -97,7 +93,7 @@ class TestLeases:
     def test_heartbeat_owner_guarded(self, store):
         submit(store)
         job = store.claim(now=100.0, worker_id="w1", lease_seconds=30.0)
-        assert not store.heartbeat(job.id, "imposter", now=120.0)
+        assert not store.heartbeat(job.id, "imposter", 30.0, now=120.0)
         assert store.get(job.id).lease_until == 130.0
 
     def test_reap_requeues_expired_lease(self, store):
@@ -151,45 +147,20 @@ class TestLeases:
         assert store.get(job.id).state == jobstore.RUNNING
         assert store.finish(job.id, "executed", worker_id="w2")
 
-    def test_boot_recovery_spares_leased_rows(self, store):
-        # A leased row may belong to a live remote worker: boot-time
-        # recovery must leave it to the reaper.
+    def test_reaper_spares_live_leases(self, store):
+        # A live lease may belong to a worker that is still computing:
+        # a reaper pass takes only the lapsed claim.
         submit(store, "lbm06", "ideal")
         submit(store, "mcf06", "ideal")
-        leased = store.claim(worker_id="remote", lease_seconds=300.0)
-        legacy = store.claim(worker_id="old-daemon")  # no lease
-        recovered = store.recover_orphans(only_leaseless=True)
-        assert [j.id for j in recovered] == [legacy.id]
+        leased = store.claim(worker_id="remote", lease_seconds=300.0, now=100.0)
+        crashed = store.claim(worker_id="crashed", lease_seconds=5.0, now=100.0)
+        recovered = store.reap_expired(now=110.0)
+        assert [j.id for j in recovered] == [crashed.id]
         assert store.get(leased.id).state == jobstore.RUNNING
-        # full (legacy) recovery still takes everything
-        assert len(store.recover_orphans()) == 1
+        assert store.get(crashed.id).state == jobstore.QUEUED
 
     def test_old_database_schema_is_migrated(self, tmp_path):
-        import sqlite3
-
-        # A pre-lease database: same table minus the two new columns.
-        db = tmp_path / "old.db"
-        conn = sqlite3.connect(db)
-        conn.executescript(
-            """
-            CREATE TABLE jobs (
-                id TEXT PRIMARY KEY, key TEXT NOT NULL,
-                workload TEXT NOT NULL, design TEXT NOT NULL,
-                config_json TEXT NOT NULL,
-                priority INTEGER NOT NULL DEFAULT 0, state TEXT NOT NULL,
-                attempts INTEGER NOT NULL DEFAULT 0,
-                max_attempts INTEGER NOT NULL DEFAULT 3,
-                timeout REAL, not_before REAL NOT NULL DEFAULT 0,
-                source TEXT, error TEXT, created_at REAL NOT NULL,
-                updated_at REAL NOT NULL, started_at REAL, finished_at REAL
-            );
-            INSERT INTO jobs VALUES ('j1', 'k1', 'lbm06', 'ideal', '{}',
-                0, 'queued', 0, 3, NULL, 0, NULL, NULL, 1.0, 1.0, NULL, NULL);
-            """
-        )
-        conn.commit()
-        conn.close()
-        upgraded = JobStore(db)
+        upgraded = JobStore(pre_lease_db(tmp_path, "queued"))
         try:
             job = upgraded.get("j1")
             assert job.worker_id is None and job.lease_until is None
@@ -197,6 +168,50 @@ class TestLeases:
             assert claimed.id == "j1" and claimed.worker_id == "w1"
         finally:
             upgraded.close()
+
+    def test_pre_lease_running_row_is_reaped(self, tmp_path):
+        # A row left running by a pre-lease executor has no lease at all:
+        # one reaper pass re-queues it, without refunding its attempt.
+        upgraded = JobStore(pre_lease_db(tmp_path, "running"))
+        try:
+            assert upgraded.get("j1").lease_until is None
+            reaped = upgraded.reap_expired()
+            assert [j.id for j in reaped] == ["j1"]
+            back = upgraded.get("j1")
+            assert back.state == jobstore.QUEUED
+            assert back.attempts == 1  # the pre-lease claim still counts
+            assert back.started_at is None and back.lease_until is None
+        finally:
+            upgraded.close()
+
+
+def pre_lease_db(tmp_path, state: str) -> Path:
+    """A database from before leases: the jobs table minus the two new
+    columns, holding one job ``j1`` in ``state`` (claimed once if running)."""
+    db = tmp_path / "old.db"
+    attempts, started = (1, "1.0") if state == "running" else (0, "NULL")
+    conn = sqlite3.connect(db)
+    conn.executescript(
+        f"""
+        CREATE TABLE jobs (
+            id TEXT PRIMARY KEY, key TEXT NOT NULL,
+            workload TEXT NOT NULL, design TEXT NOT NULL,
+            config_json TEXT NOT NULL,
+            priority INTEGER NOT NULL DEFAULT 0, state TEXT NOT NULL,
+            attempts INTEGER NOT NULL DEFAULT 0,
+            max_attempts INTEGER NOT NULL DEFAULT 3,
+            timeout REAL, not_before REAL NOT NULL DEFAULT 0,
+            source TEXT, error TEXT, created_at REAL NOT NULL,
+            updated_at REAL NOT NULL, started_at REAL, finished_at REAL
+        );
+        INSERT INTO jobs VALUES ('j1', 'k1', 'lbm06', 'ideal', '{{}}',
+            0, '{state}', {attempts}, 3, NULL, 0, NULL, NULL, 1.0, 1.0,
+            {started}, NULL);
+        """
+    )
+    conn.commit()
+    conn.close()
+    return db
 
 
 # -- jobstore: satellite bug fixes ---------------------------------------
@@ -229,13 +244,13 @@ class TestJobStoreFixes:
         first, _ = submit(store, "lbm06", "ideal", priority=0)
         other, _ = submit(store, "mcf06", "ideal", priority=3)
         submit(store, "lbm06", "ideal", priority=9)  # join + raise
-        assert store.claim().id == first.id
-        assert store.claim().id == other.id
+        assert store.claim("w1", 30.0).id == first.id
+        assert store.claim("w1", 30.0).id == other.id
 
     def test_retrying_fail_clears_claim_bookkeeping(self, store):
         submit(store)
         job = store.claim(worker_id="w1", lease_seconds=30.0)
-        assert store.fail(job.id, "boom", retry_delay=0.0)
+        assert store.fail(job.id, "boom", "w1", retry_delay=0.0)
         back = store.get(job.id)
         assert back.state == jobstore.QUEUED
         assert back.started_at is None
@@ -275,10 +290,10 @@ class _FakeQueue:
         self.finished = {}
         self.failed = {}
 
-    def claim(self, worker_id, lease_seconds=None):
+    def claim(self, worker_id):
         return None
 
-    def heartbeat(self, job_id, worker_id, lease_seconds=None):
+    def heartbeat(self, job_id, worker_id):
         return None
 
     def finish(self, job_id, worker_id, result, source="remote"):
@@ -404,13 +419,19 @@ class TestWorkerProtocolHttp:
     def test_claim_heartbeat_upload_round_trip(self, paused_daemon, tmp_path):
         client = ServiceClient(paused_daemon.url)
         job = client.submit("lbm06", "ideal", ops=200, warmup=100)
-        claimed = client.claim("w1", lease_seconds=60.0)
+        claimed = client.claim("w1")
         assert claimed.id == job["id"]
         assert claimed.worker_id == "w1"
-        assert claimed.lease_until is not None
+        # the daemon's lease, on the daemon's clock
+        assert claimed.lease_until - claimed.updated_at == pytest.approx(
+            paused_daemon.lease_seconds, abs=1e-6
+        )
         assert client.claim("w1") is None  # queue drained
-        renewed = client.heartbeat(job["id"], "w1", lease_seconds=120.0)
+        renewed = client.heartbeat(job["id"], "w1")
         assert renewed.lease_until > claimed.lease_until
+        assert renewed.lease_until - renewed.updated_at == pytest.approx(
+            paused_daemon.lease_seconds, abs=1e-6
+        )
         result = runner.simulate("lbm06", "ideal", CFG, use_cache=False)
         done = client.finish(job["id"], "w1", result, source="remote")
         assert done.state == jobstore.DONE
@@ -423,7 +444,7 @@ class TestWorkerProtocolHttp:
         """A string where a metric belongs is a 400, not a silent cast."""
         client = ServiceClient(paused_daemon.url)
         job = client.submit("lbm06", "ideal", ops=200, warmup=100)
-        client.claim("w1", lease_seconds=60.0)
+        client.claim("w1")
         result = runner.simulate("lbm06", "ideal", CFG, use_cache=False)
         payload = result.to_json_dict()
         payload["metrics"]["llc.hits"] = "12"
@@ -441,7 +462,7 @@ class TestWorkerProtocolHttp:
         workers = {"node-1:42": "ideal", "node_1:42": "uncompressed"}
         for worker_id, design in workers.items():
             client.submit("lbm06", design, ops=200, warmup=100)
-            claimed = client.claim(worker_id, lease_seconds=60.0)
+            claimed = client.claim(worker_id)
             result = runner.simulate("lbm06", claimed.design, CFG, use_cache=False)
             done = client.finish(claimed.id, worker_id, result, source="remote")
             assert done.state == jobstore.DONE
@@ -456,7 +477,7 @@ class TestWorkerProtocolHttp:
     def test_heartbeat_conflicts_for_wrong_worker(self, paused_daemon):
         client = ServiceClient(paused_daemon.url)
         job = client.submit("lbm06", "ideal", ops=200, warmup=100)
-        client.claim("w1", lease_seconds=60.0)
+        client.claim("w1")
         with pytest.raises(ServiceError) as err:
             client._request(
                 "POST", f"/jobs/{job['id']}/heartbeat", {"worker_id": "imposter"}
@@ -468,7 +489,7 @@ class TestWorkerProtocolHttp:
     def test_upload_after_reap_conflicts(self, paused_daemon):
         client = ServiceClient(paused_daemon.url)
         job = client.submit("lbm06", "ideal", ops=200, warmup=100)
-        client.claim("w1", lease_seconds=60.0)
+        client.claim("w1")
         paused_daemon.store.reap_expired(now=time.time() + 120.0)
         result = runner.simulate("lbm06", "ideal", CFG, use_cache=False)
         with pytest.raises(LeaseLostError):
@@ -477,7 +498,7 @@ class TestWorkerProtocolHttp:
     def test_remote_fail_applies_retry_policy(self, paused_daemon):
         client = ServiceClient(paused_daemon.url)
         job = client.submit("lbm06", "ideal", ops=200, warmup=100)
-        client.claim("w1", lease_seconds=60.0)
+        client.claim("w1")
         failed = client.fail(job["id"], "w1", "worker exploded")
         assert failed.state == jobstore.QUEUED  # attempts left: retry
         assert failed.error == "worker exploded"
@@ -489,6 +510,32 @@ class TestWorkerProtocolHttp:
                 "POST", "/jobs/claim", {"lease_seconds": 5.0}
             )
         assert err.value.status == 400
+
+    @pytest.mark.parametrize("asked", [math.nan, math.inf, 1e300])
+    def test_requested_lease_is_ignored(self, tmp_path, asked):
+        """A worker cannot pick its lease: NaN, inf or 1e300 get the daemon's."""
+        daemon = make_daemon(tmp_path, lease_seconds=0.2, reaper_interval=0.02)
+        try:
+            client = ServiceClient(daemon.url)
+            job = client.submit("lbm06", "ideal", ops=200, warmup=100)
+            asks = {"worker_id": "w-greedy", "lease_seconds": asked}
+            claimed = client._request("POST", "/jobs/claim", asks)["job"]
+            assert claimed["id"] == job["id"]
+            renewed = client._request(
+                "POST", f"/jobs/{job['id']}/heartbeat", asks
+            )["job"]
+            for row in (claimed, renewed):
+                assert row["lease_until"] - row["updated_at"] == pytest.approx(
+                    0.2, abs=1e-6
+                )
+            # no live worker: the reaper thread takes the job back
+            assert wait_for(
+                lambda: daemon.store.get(job["id"]).state == jobstore.QUEUED,
+                timeout=10,
+            )
+            assert daemon.metrics()["worker.lease_expirations"] == 1
+        finally:
+            daemon.stop()
 
     def test_expired_lease_requeues_via_reaper_thread(self, tmp_path):
         daemon = make_daemon(tmp_path, lease_seconds=0.1, reaper_interval=0.02)
@@ -570,7 +617,6 @@ class TestBackpressure:
 
 def make_worker(daemon, tmp_path, name="w1", token=None, **kwargs):
     kwargs.setdefault("concurrency", 2)
-    kwargs.setdefault("lease_seconds", 30.0)
     kwargs.setdefault("poll_interval", 0.02)
     return Worker(
         queue=ServiceClient(daemon.url, token=token),
@@ -704,6 +750,42 @@ class TestRemoteWorker:
             daemon.stop()
 
 
+class TestLeaseRenewal:
+    @pytest.mark.parametrize("lease", [math.nan, math.inf, 0.0, -1.0])
+    def test_daemon_lease_must_be_finite_and_positive(self, tmp_path, lease):
+        with pytest.raises(ValueError):
+            ServiceDaemon(db_path=tmp_path / "service.db", lease_seconds=lease)
+
+    def test_long_job_keeps_a_sub_second_lease(self, tmp_path):
+        # The job outlives several of the daemon's leases; the worker renews
+        # at half the granted lease, so it never loses the job.
+        daemon = make_daemon(tmp_path, lease_seconds=0.5, reaper_interval=0.02)
+        try:
+            client = ServiceClient(daemon.url)
+            job = client.submit("lbm06", "ideal", ops=200, warmup=100)
+            worker = make_worker(daemon, tmp_path, concurrency=1, max_jobs=1)
+            worker._new_pool = _FakePool  # the job runs until the test ends it
+            thread = threading.Thread(target=worker.run, daemon=True)
+            thread.start()
+            assert wait_for(lambda: worker.inflight == 1, timeout=10)
+            first = daemon.store.get(job["id"]).lease_until
+            time.sleep(2.5)  # five lease intervals
+            row = daemon.store.get(job["id"])
+            assert row.state == jobstore.RUNNING and row.worker_id == "w1"
+            assert row.lease_until > first + 1.5  # renewed along the way
+            assert row.attempts == 1
+            assert daemon.metrics()["worker.lease_expirations"] == 0
+            assert worker.stats.lease_lost == 0
+            result = runner.simulate("lbm06", "ideal", CFG, use_cache=False)
+            (flight,) = worker._inflight.values()
+            flight.future.set_result((result, "executed", 2.5))
+            thread.join(30)
+            assert not thread.is_alive()
+            assert daemon.store.get(job["id"]).state == jobstore.DONE
+        finally:
+            daemon.stop()
+
+
 class TestQueueSignatures:
     def test_daemon_and_client_expose_the_same_queue(self):
         # A Worker runs unchanged against either side; keep them in step.
@@ -721,7 +803,8 @@ class JobStoreMachine(RuleBasedStateMachine):
 
     Invariants after every step: at most one active job per key (the
     dedup index), queued rows carry no claim bookkeeping, running rows
-    always record a claim, and terminal rows never change state again.
+    always record a claim with an owner and a finite lease, and terminal
+    rows never change state again.
     """
 
     KEYS = ("k1", "k2", "k3")
@@ -747,10 +830,9 @@ class JobStoreMachine(RuleBasedStateMachine):
             "lbm06", "ideal", key, config={}, priority=priority, max_attempts=3
         )
 
-    @rule(worker=st.sampled_from(WORKERS),
-          lease=st.sampled_from([None, 5.0]))
-    def claim(self, worker, lease):
-        self.store.claim(now=self.now, worker_id=worker, lease_seconds=lease)
+    @rule(worker=st.sampled_from(WORKERS))
+    def claim(self, worker):
+        self.store.claim(worker, 5.0, now=self.now)
 
     @rule(worker=st.sampled_from(WORKERS))
     def heartbeat(self, worker):
@@ -761,13 +843,13 @@ class JobStoreMachine(RuleBasedStateMachine):
     def fail(self, worker, retry):
         for job in self._running():
             delay = 1.0 if (retry and job.attempts < job.max_attempts) else None
-            self.store.fail(job.id, "boom", retry_delay=delay, worker_id=worker)
+            self.store.fail(job.id, "boom", worker, retry_delay=delay)
             break
 
     @rule(worker=st.sampled_from(WORKERS))
     def finish(self, worker):
         for job in self._running():
-            self.store.finish(job.id, "executed", worker_id=worker)
+            self.store.finish(job.id, "executed", worker)
             break
 
     @rule()
@@ -778,17 +860,13 @@ class JobStoreMachine(RuleBasedStateMachine):
     @rule()
     def requeue(self):
         for job in self._running():
-            self.store.requeue(job.id, refund_attempt=True)
+            self.store.requeue(job.id)
             break
 
     @rule(dt=st.sampled_from([0.5, 3.0, 10.0]))
     def advance_and_reap(self, dt):
         self.now += dt
         self.store.reap_expired(now=self.now)
-
-    @rule()
-    def boot_recovery(self):
-        self.store.recover_orphans(only_leaseless=True)
 
     @invariant()
     def store_is_consistent(self):
@@ -807,6 +885,8 @@ class JobStoreMachine(RuleBasedStateMachine):
                 assert job.attempts >= 1
                 assert job.started_at is not None
                 assert job.worker_id is not None
+                assert job.lease_until is not None
+                assert math.isfinite(job.lease_until)
             if job.terminal:
                 previous = self.terminal_states.setdefault(job.id, job.state)
                 assert previous == job.state, (

@@ -2,7 +2,8 @@
 
 The HTTP surface is covered end-to-end in ``test_service_http.py``;
 here the store and the daemon's in-process worker are exercised
-directly, including the retry/backoff policy, crash-orphan recovery,
+directly, including the retry/backoff policy, crash-orphan recovery by
+the lease reaper,
 deadlines, and the graceful-drain guarantee (no ``running`` rows after
 a stop).
 """
@@ -25,6 +26,8 @@ OVERRIDES = {"ops_per_core": 200, "warmup_ops": 100}
 CFG = bench_config(**OVERRIDES)
 #: Far longer than any deadline or drain window used below.
 SLOW = {"ops_per_core": 60_000, "warmup_ops": 30_000}
+#: Every store claim is a lease held by one worker.
+WORKER, LEASE = "w1", 30.0
 
 
 def key_for(workload: str, design: str) -> str:
@@ -83,8 +86,8 @@ class TestJobStore:
 
     def test_terminal_job_frees_the_dedup_slot(self, store):
         first, _ = submit(store)
-        claimed = store.claim()
-        store.finish(claimed.id, "executed")
+        claimed = store.claim(WORKER, LEASE)
+        store.finish(claimed.id, "executed", WORKER)
         second, created = submit(store)
         assert created
         assert second.id != first.id
@@ -93,31 +96,31 @@ class TestJobStore:
         low, _ = submit(store, "lbm06", "ideal", priority=0)
         high, _ = submit(store, "mcf06", "ideal", priority=5)
         low2, _ = submit(store, "lbm06", "static_ptmc", priority=0)
-        order = [store.claim().id for _ in range(3)]
+        order = [store.claim(WORKER, LEASE).id for _ in range(3)]
         assert order == [high.id, low.id, low2.id]
-        assert store.claim() is None
+        assert store.claim(WORKER, LEASE) is None
 
     def test_claim_marks_running_and_counts_attempt(self, store):
         submit(store)
-        job = store.claim()
+        job = store.claim(WORKER, LEASE)
         assert job.state == jobstore.RUNNING
         assert job.attempts == 1
         assert job.started_at is not None
 
     def test_backoff_gates_reclaim(self, store):
         submit(store)
-        job = store.claim()
-        store.fail(job.id, "boom", retry_delay=60.0)
+        job = store.claim(WORKER, LEASE)
+        store.fail(job.id, "boom", WORKER, retry_delay=60.0)
         assert store.get(job.id).state == jobstore.QUEUED
-        assert store.claim() is None  # not_before is in the future
-        retry = store.claim(now=time.time() + 61.0)
+        assert store.claim(WORKER, LEASE) is None  # not_before is in the future
+        retry = store.claim(WORKER, LEASE, now=time.time() + 61.0)
         assert retry is not None and retry.id == job.id
         assert retry.attempts == 2
 
     def test_fail_terminal_records_error(self, store):
         submit(store)
-        job = store.claim()
-        store.fail(job.id, "no retry left")
+        job = store.claim(WORKER, LEASE)
+        store.fail(job.id, "no retry left", WORKER)
         final = store.get(job.id)
         assert final.state == jobstore.FAILED
         assert final.error == "no retry left"
@@ -128,15 +131,16 @@ class TestJobStore:
         assert store.cancel(job.id)
         assert store.get(job.id).state == jobstore.CANCELLED
         job2, _ = submit(store, "mcf06")
-        running = store.claim()
+        running = store.claim(WORKER, LEASE)
         assert running.id == job2.id
         assert not store.cancel(job2.id)
         assert store.get(job2.id).state == jobstore.RUNNING
 
-    def test_recover_orphans_requeues_without_refund(self, store):
+    def test_reaper_requeues_orphan_without_refund(self, store):
         submit(store)
-        store.claim()
-        orphans = store.recover_orphans()
+        # a worker claims for a short lease, then crashes
+        store.claim("crashed", 5.0, now=100.0)
+        orphans = store.reap_expired(now=106.0)
         assert len(orphans) == 1
         job = store.get(orphans[0].id)
         assert job.state == jobstore.QUEUED
@@ -145,8 +149,8 @@ class TestJobStore:
 
     def test_requeue_with_refund(self, store):
         submit(store)
-        job = store.claim()
-        store.requeue(job.id, refund_attempt=True)
+        job = store.claim(WORKER, LEASE)
+        store.requeue(job.id)
         back = store.get(job.id)
         assert back.state == jobstore.QUEUED
         assert back.attempts == 0
@@ -173,7 +177,7 @@ class TestJobStore:
         )
         assert created and job.state == jobstore.DONE
         assert job.source == "cache"
-        assert store.claim() is None
+        assert store.claim(WORKER, LEASE) is None
 
 
 def make_daemon(tmp_path, **kwargs):
@@ -254,9 +258,10 @@ class TestScheduler:
         assert daemon.stats.failed == 1
 
     def test_orphan_recovery_completes_job(self, tmp_path):
-        daemon = make_daemon(tmp_path)
+        daemon = make_daemon(tmp_path, reaper_interval=0.05)
         job, _ = submit(daemon.store)
-        daemon.store.claim()  # a previous daemon "crashed" holding this job
+        # a previous daemon "crashed" holding this job on a short lease
+        daemon.store.claim("local:crashed", 0.05)
         assert daemon.store.counts()[jobstore.RUNNING] == 1
         daemon.start()
         try:
@@ -264,7 +269,7 @@ class TestScheduler:
             state = daemon.store.get(job.id).state
         finally:
             stop_and_join(daemon)
-        assert daemon.stats.orphans_recovered == 1
+        assert daemon.workers_seen.lease_expirations == 1
         assert state == jobstore.DONE
 
     def test_graceful_drain_leaves_no_running_rows(self, tmp_path):

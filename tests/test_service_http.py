@@ -8,6 +8,7 @@ path the CLI verbs use.
 
 import io
 import json
+import math
 import re
 import urllib.error
 import urllib.request
@@ -98,19 +99,22 @@ class TestRoundTrip:
         )
 
     def test_restart_recovers_orphaned_job(self, tmp_path):
-        # Daemon 1 "crashes" with the job claimed (running row left behind).
-        first = make_daemon(tmp_path, workers=0)
+        # Daemon 1 "crashes" with the job claimed (running row left behind)
+        # under its own short lease, before its reaper ever runs.
+        first = make_daemon(
+            tmp_path, workers=0, lease_seconds=0.2, reaper_interval=60.0
+        )
         client = ServiceClient(first.url)
         job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP)
-        assert first.store.claim() is not None
+        assert first.claim("crashed") is not None
         assert first.store.counts()[jobstore.RUNNING] == 1
         first.stop()
-        # Daemon 2 on the same store recovers and completes it.
-        second = make_daemon(tmp_path)
+        # Daemon 2 on the same store reaps the lapsed lease and completes it.
+        second = make_daemon(tmp_path, reaper_interval=0.05)
         try:
             done = ServiceClient(second.url).wait(job["id"], timeout=120)
             assert done["state"] == jobstore.DONE
-            assert second.stats.orphans_recovered == 1
+            assert second.metrics()["worker.lease_expirations"] == 1
             assert second.store.counts()[jobstore.RUNNING] == 0
         finally:
             second.stop()
@@ -162,6 +166,36 @@ class TestApiSurface:
         with pytest.raises(ServiceError) as err:
             client.submit("no_such_workload", "ideal")
         assert err.value.status == 400
+
+    @pytest.mark.parametrize(
+        "method, path, body",
+        [
+            ("GET", "/jobs?limit=abc", None),
+            ("GET", "/jobs?limit=0", None),
+            ("GET", "/jobs?limit=-1", None),
+            ("POST", "/jobs", {"priority": "abc"}),
+            ("POST", "/jobs", {"priority": 1.5}),
+            ("POST", "/jobs", {"priority": True}),
+            ("POST", "/jobs", {"priority": 2**63}),
+            ("POST", "/jobs", {"max_attempts": "x"}),
+            ("POST", "/jobs", {"max_attempts": 0}),
+            ("POST", "/jobs", {"max_attempts": True}),
+            ("POST", "/jobs", {"timeout": math.nan}),
+            ("POST", "/jobs", {"timeout": math.inf}),
+            ("POST", "/jobs", {"timeout": 0}),
+            ("POST", "/jobs", {"timeout": -1.0}),
+            ("POST", "/jobs", {"timeout": "5"}),
+            ("POST", "/jobs", {"timeout": True}),
+        ],
+    )
+    def test_malformed_numbers_are_400(self, paused_daemon, method, path, body):
+        client = ServiceClient(paused_daemon.url)
+        if body is not None:
+            body = {"workload": "lbm06", "design": "ideal", **body}
+        with pytest.raises(ServiceError) as err:
+            client._request(method, path, body)
+        assert err.value.status == 400
+        assert paused_daemon.store.list_jobs() == []  # nothing was queued
 
     def test_healthz(self, daemon):
         health = ServiceClient(daemon.url).healthz()
