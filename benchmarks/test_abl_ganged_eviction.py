@@ -9,10 +9,10 @@ cost, so the asserted shape is the design argument itself: ganged
 eviction eliminates RMW traffic entirely and never performs worse.
 """
 
-from benchmarks.ablation_utils import run_custom
 from benchmarks.conftest import run_once, save_results
 from repro.analysis import banner, format_table
 from repro.core.ptmc import PTMCConfig
+from repro.sim.runner import compare, simulate
 from repro.types import Category
 
 WORKLOADS = ("lbm06", "soplex06", "mcf06")
@@ -24,8 +24,8 @@ def _ablation(config):
         row = {}
         for label, ganged in (("ganged", True), ("retain", False)):
             cfg = config.with_(ptmc=PTMCConfig(ganged_eviction=ganged))
-            result, speedup = run_custom(workload, "static_ptmc", cfg)
-            row[f"{label}_speedup"] = speedup
+            result = simulate(workload, "static_ptmc", cfg)
+            row[f"{label}_speedup"] = compare(workload, "static_ptmc", cfg)
             row[f"{label}_l3_hit"] = result.l3_hit_rate
             row[f"{label}_rmw"] = result.bandwidth_by_category().get(
                 Category.MAINTENANCE, 0

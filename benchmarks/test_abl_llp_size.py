@@ -4,20 +4,20 @@ Accuracy saturates once the LCT covers the concurrently hot pages —
 beyond that, more entries buy nothing, which is why 128 bytes suffice.
 """
 
-from benchmarks.ablation_utils import run_custom
 from benchmarks.conftest import run_once, save_results
 from repro.analysis import banner, format_table
 from repro.core.ptmc import PTMCConfig
+from repro.sim.runner import compare, simulate
 
 
 def _ablation(config):
     rows = {}
     for entries in (16, 64, 512, 4096):
         cfg = config.with_(ptmc=PTMCConfig(lct_entries=entries))
-        result, speedup = run_custom("soplex06", "static_ptmc", cfg)
+        result = simulate("soplex06", "static_ptmc", cfg)
         rows[entries] = {
             "llp_accuracy": result.llp_accuracy or 0.0,
-            "speedup": speedup,
+            "speedup": compare("soplex06", "static_ptmc", cfg),
             "storage_bytes": entries * 2 / 8,
         }
     return rows

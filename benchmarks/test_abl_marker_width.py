@@ -6,12 +6,12 @@ pairs/quads fit) while driving the already negligible collision
 probability further down — this bench quantifies the trade.
 """
 
-from benchmarks.ablation_utils import run_custom
 from benchmarks.conftest import run_once, save_results
 from repro.analysis import banner, format_table
 from repro.compression import HybridCompressor
 from repro.core.packing import compress_group
 from repro.core.ptmc import PTMCConfig
+from repro.sim.runner import compare, simulate
 from repro.workloads import WorkloadTraceGenerator, get_workload
 
 PAIRS = 384
@@ -36,10 +36,10 @@ def _ablation(config):
     rows = {"0 (no marker)": {"pair_fit": _pair_fit("soplex06", 0)}}
     for marker_size in (4, 5, 8):
         cfg = config.with_(ptmc=PTMCConfig(marker_size=marker_size))
-        result, speedup = run_custom("soplex06", "static_ptmc", cfg)
+        result = simulate("soplex06", "static_ptmc", cfg)
         rows[str(marker_size)] = {
             "pair_fit": _pair_fit("soplex06", marker_size),
-            "speedup": speedup,
+            "speedup": compare("soplex06", "static_ptmc", cfg),
             "inversions": result.metrics["ptmc.inversions"],
         }
     return rows

@@ -24,6 +24,7 @@ from repro.core.uncompressed import UncompressedController
 from repro.cpu.core import CoreModel
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
+from repro.sim.config import SimConfig
 from repro.sim.dma import DMAAgent
 from repro.traces import TraceReplayGenerator, TraceWorkload, configure_trace_store
 from repro.vm.page_table import PageTable
@@ -31,14 +32,17 @@ from repro.workloads import get_workload
 from repro.workloads.generators import WorkloadTraceGenerator
 
 NUM_OPS = 6000
-HIER = HierarchyConfig(num_cores=1, l1_bytes=8 * 1024, l2_bytes=32 * 1024, l3_bytes=128 * 1024)
+SYSTEM = SimConfig(
+    num_cores=1,
+    hierarchy=HierarchyConfig(l1_bytes=8 * 1024, l2_bytes=32 * 1024, l3_bytes=128 * 1024),
+)
 
 
 def replay(trace, controller_cls):
     memory = PhysicalMemory(1 << 20)
     dram = DRAMSystem()
     controller = controller_cls(memory, dram)
-    hierarchy = CacheHierarchy(controller, HIER)
+    hierarchy = CacheHierarchy(controller, SYSTEM)
     records = TraceReplayGenerator(trace, 0).generate(NUM_OPS)
     core = CoreModel(0, records, hierarchy, PageTable(1 << 20))
     while core.step():

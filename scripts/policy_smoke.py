@@ -6,6 +6,9 @@ proves the results round-trip through the content-addressed disk cache:
 the memo table is dropped (as a fresh process would see it), the same
 identities are requested again, and the replies must be served from
 disk and — modulo the replay markers — compare equal to the originals.
+It also checks that the default config and an explicit
+``llc_policy=DEFAULT_POLICY`` are one identity: the explicit request
+must be served from the default run's disk entry, not executed.
 
 Usage::
 
@@ -47,6 +50,27 @@ def comparable(result) -> dict:
     return payload
 
 
+def check_default_identity(args, design: str) -> int:
+    """Run the default config, then request it by the default policy's name.
+
+    Returns the number of failures (0 or 1).
+    """
+    default = bench_config(ops_per_core=args.ops, warmup_ops=args.warmup)
+    runner.simulate(args.workload, design, default)
+    runner.clear_cache()
+    explicit = default.with_(llc_policy=DEFAULT_POLICY)
+    _, source = runner.simulate_with_source(args.workload, design, explicit)
+    if source != "disk":
+        print(
+            f"  FAIL: llc_policy={DEFAULT_POLICY} x {design} served from "
+            f"{source!r}; the default run's disk entry should answer it",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"default == llc_policy={DEFAULT_POLICY} x {design}: one identity, from disk")
+    return 0
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     designs = [d.strip() for d in args.designs.split(",") if d.strip()]
@@ -80,6 +104,8 @@ def main(argv=None) -> int:
                 failures += 1
             else:
                 print(f"{args.policy} x {design}: disk round trip ok")
+
+        failures += check_default_identity(args, designs[0])
     if failures:
         print(f"{failures} failure(s)", file=sys.stderr)
         return 1

@@ -22,7 +22,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Union
 
-from repro.cache.replacement import ReplacementPolicy, make_policy
+from repro.cache.replacement import DEFAULT_POLICY, ReplacementPolicy, make_policy
+from repro.compression.base import LINE_SIZE
 from repro.obs.stats import StatScope
 from repro.types import Level
 
@@ -59,35 +60,30 @@ class EvictedLine:
 class Cache:
     """A set-associative cache of 64-byte lines with pluggable replacement.
 
-    ``policy`` accepts a registry name (``"lru"``, ``"fifo"``,
-    ``"random"``, ``"srrip"``, ``"pref_lru"``), a ready
-    :class:`ReplacementPolicy` instance, or ``None`` for the default LRU.
-    ``policy_seed`` feeds per-cache deterministic randomness (only the
-    random policy uses it).
+    ``policy`` accepts a registry name (``"lru"``, the default,
+    ``"fifo"``, ``"random"``, ``"srrip"``, ``"pref_lru"``) or a ready
+    :class:`ReplacementPolicy` instance.  A name is instantiated for this
+    cache with seed 0; a seeded random policy comes from
+    :func:`~repro.cache.replacement.make_policy`.
     """
 
     def __init__(
         self,
         size_bytes: int,
         ways: int,
-        line_size: int = 64,
         name: str = "cache",
-        policy: Union[str, ReplacementPolicy, None] = None,
-        policy_seed: int = 0,
+        policy: Union[str, ReplacementPolicy] = DEFAULT_POLICY,
     ) -> None:
-        if size_bytes % (ways * line_size) != 0:
+        if size_bytes % (ways * LINE_SIZE) != 0:
             raise ValueError("cache size must be a multiple of ways * line size")
         self.name = name
         self.ways = ways
-        self.line_size = line_size
-        self.num_sets = size_bytes // (ways * line_size)
+        self.num_sets = size_bytes // (ways * LINE_SIZE)
         if self.num_sets < 1:
             raise ValueError("cache must have at least one set")
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
-        if policy is None:
-            policy = "lru"
         if isinstance(policy, str):
-            policy = make_policy(policy, cache_name=name, seed=policy_seed)
+            policy = make_policy(policy, cache_name=name)
         self.policy = policy
         self.policy.bind(self.num_sets, ways)
         self.hits = 0

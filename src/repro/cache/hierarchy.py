@@ -17,27 +17,28 @@ back-invalidating L1/L2 on L3 eviction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.cache.cache import Cache, CacheLine, EvictedLine
+from repro.cache.replacement import make_policy
 from repro.core.base_controller import LLCView, MemoryController
 from repro.core.policy import CompressionPolicy
 from repro.obs.stats import StatScope
 from repro.types import Level
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.config import SimConfig
 
 
 @dataclass(frozen=True)
 class HierarchyConfig:
     """Cache sizes/latencies (paper Table I; latencies are typical values).
 
-    ``l1_policy``/``l2_policy``/``l3_policy`` name the replacement policy
-    each level runs (registry names from
-    :mod:`repro.cache.replacement`); ``policy_seed`` feeds per-cache
-    deterministic randomness so seeded-random policies stay bitwise
-    reproducible across parallel sweep workers.
+    The core count, the L3 replacement policy and its seed are
+    :class:`~repro.sim.config.SimConfig` fields (``num_cores``,
+    ``llc_policy``, ``seed``); L1 and L2 always run LRU.
     """
 
-    num_cores: int = 8
     l1_bytes: int = 32 * 1024
     l1_ways: int = 8
     l1_latency: int = 3
@@ -47,10 +48,6 @@ class HierarchyConfig:
     l3_bytes: int = 8 * 1024 * 1024
     l3_ways: int = 16
     l3_latency: int = 35
-    l1_policy: str = "lru"
-    l2_policy: str = "lru"
-    l3_policy: str = "lru"
-    policy_seed: int = 0
 
 
 @dataclass
@@ -92,43 +89,36 @@ class _HierarchyLLCView(LLCView):
 
 
 class CacheHierarchy:
-    """L1/L2 per core + shared L3, fronting a memory controller."""
+    """L1/L2 per core + shared L3, fronting a memory controller.
+
+    Built from the whole :class:`~repro.sim.config.SimConfig`: sizes and
+    latencies from ``config.hierarchy``, one L1/L2 pair per
+    ``config.num_cores``, and an L3 running ``config.llc_policy`` (seeded
+    from ``config.seed``).
+    """
 
     def __init__(
         self,
         controller: MemoryController,
-        config: HierarchyConfig = HierarchyConfig(),
+        config: "SimConfig",
         policy: Optional[CompressionPolicy] = None,
     ) -> None:
-        self.config = config
+        levels = config.hierarchy
+        self.config = levels
         self.controller = controller
         self.policy = policy
+        cores = range(config.num_cores)
         self.l1s: List[Cache] = [
-            Cache(
-                config.l1_bytes,
-                config.l1_ways,
-                name=f"l1_{c}",
-                policy=config.l1_policy,
-                policy_seed=config.policy_seed,
-            )
-            for c in range(config.num_cores)
+            Cache(levels.l1_bytes, levels.l1_ways, name=f"l1_{c}") for c in cores
         ]
         self.l2s: List[Cache] = [
-            Cache(
-                config.l2_bytes,
-                config.l2_ways,
-                name=f"l2_{c}",
-                policy=config.l2_policy,
-                policy_seed=config.policy_seed,
-            )
-            for c in range(config.num_cores)
+            Cache(levels.l2_bytes, levels.l2_ways, name=f"l2_{c}") for c in cores
         ]
         self.l3 = Cache(
-            config.l3_bytes,
-            config.l3_ways,
+            levels.l3_bytes,
+            levels.l3_ways,
             name="l3",
-            policy=config.l3_policy,
-            policy_seed=config.policy_seed,
+            policy=make_policy(config.llc_policy, cache_name="l3", seed=config.seed),
         )
         self.llc_view = _HierarchyLLCView(self)
         self.useful_prefetches = 0

@@ -93,7 +93,7 @@ def _config(args) -> "SimConfig":
     return bench_config(
         ops_per_core=args.ops,
         warmup_ops=args.warmup,
-        llc_policy=getattr(args, "llc_policy", None),
+        llc_policy=getattr(args, "llc_policy", None) or DEFAULT_POLICY,
     )
 
 
@@ -150,7 +150,7 @@ def cmd_policies(args) -> int:
     ]
     print(format_table(["name", "class", "description"], rows))
     print(
-        "\n(* default)  Select with --llc-policy on run/stats/sweep/submit, "
+        "\n(* default lru)  Select with --llc-policy on run/stats/sweep/submit, "
         "or sweep the whole space with scripts/policy_search.py."
     )
     return 0
@@ -629,6 +629,21 @@ def _days(text: str) -> float:
     return days
 
 
+def _count(low: int):
+    """An argparse ``type=``: an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text} is not an integer >= {low}")
+        return value
+
+    return parse
+
+
 def _seconds(text: str, zero_ok: bool = False) -> float:
     """A duration flag: a finite number of seconds > 0 (>= 0 if ``zero_ok``)."""
     try:
@@ -648,14 +663,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="PTMC (HPCA 2019) reproduction — simulation driver",
     )
-    parser.add_argument("--ops", type=int, default=4000, help="measured ops per core")
-    parser.add_argument("--warmup", type=int, default=6000, help="warmup ops per core")
+    parser.add_argument(
+        "--ops", type=_count(1), default=4000, help="measured ops per core (>= 1)"
+    )
+    parser.add_argument(
+        "--warmup", type=_count(0), default=6000, help="warmup ops per core (>= 0)"
+    )
     parser.add_argument(
         "--llc-policy",
         choices=sorted(POLICIES),
         default=None,
-        help="LLC replacement policy (default: the hierarchy's, i.e. lru; "
-        "see 'repro policies')",
+        help="LLC replacement policy (default lru; see 'repro policies')",
     )
     parser.add_argument(
         "--cache-dir",

@@ -49,7 +49,6 @@ class HybridCompressor(CompressionAlgorithm):
     def __init__(
         self,
         algorithms: Optional[Iterable[CompressionAlgorithm]] = None,
-        memoize: bool = True,
     ) -> None:
         algs: List[CompressionAlgorithm] = (
             list(algorithms) if algorithms is not None else [FPC(), BDI()]
@@ -59,7 +58,6 @@ class HybridCompressor(CompressionAlgorithm):
         if len(algs) > 255:
             raise ValueError("at most 255 algorithms (one-byte tag)")
         self._algorithms: Tuple[CompressionAlgorithm, ...] = tuple(algs)
-        self._memoize = memoize
         # results are shared across instances with the same algorithm list:
         # simulations run several designs over identical workload data, and
         # compression is a pure function of (algorithms, line)
@@ -74,10 +72,9 @@ class HybridCompressor(CompressionAlgorithm):
 
     def compress(self, line: bytes) -> Optional[bytes]:
         self.check_line(line)
-        if self._memoize:
-            cached = self._cache.get(line)
-            if cached is not None or line in self._cache:
-                return cached
+        cached = self._cache.get(line)
+        if cached is not None or line in self._cache:
+            return cached
         best: Optional[bytes] = None
         for tag, algorithm in enumerate(self._algorithms):
             payload = algorithm.compress(line)
@@ -88,11 +85,8 @@ class HybridCompressor(CompressionAlgorithm):
             # matching the batch kernel's first-minimum selection
             if len(tagged) < LINE_SIZE and (best is None or len(tagged) < len(best)):
                 best = tagged
-        if self._memoize:
-            self._cache[bytes(line)] = best
-            self._sizes.setdefault(
-                bytes(line), LINE_SIZE if best is None else len(best)
-            )
+        self._cache[bytes(line)] = best
+        self._sizes.setdefault(bytes(line), LINE_SIZE if best is None else len(best))
         return best
 
     def compress_and_size(self, line: bytes) -> Tuple[Optional[bytes], int]:
@@ -102,16 +96,13 @@ class HybridCompressor(CompressionAlgorithm):
 
     def compressed_size(self, line: bytes) -> int:
         """Charged size; served from the size memo without compressing."""
-        if self._memoize:
-            size = self._sizes.get(line)
-            if size is not None:
-                return size
+        size = self._sizes.get(line)
+        if size is not None:
+            return size
         return self.compress_and_size(line)[1]
 
     def cached_size(self, line: bytes) -> Optional[int]:
         """The memoized size, or ``None`` when it was never computed."""
-        if not self._memoize:
-            return None
         size = self._sizes.get(line)
         if size is not None:
             return size
@@ -127,10 +118,7 @@ class HybridCompressor(CompressionAlgorithm):
 
         The batch kernels are golden-tested to match the scalar sizes, so
         seeding can never change a simulation outcome — only skip work.
-        No-op when memoization is disabled.
         """
-        if not self._memoize:
-            return
         memo = self._sizes
         for line, size in zip(lines, sizes):
             memo[bytes(line)] = int(size)

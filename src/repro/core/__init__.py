@@ -22,7 +22,7 @@ from repro.core.ideal import IdealTMCController
 from repro.core.lit import LineInversionTable, LITOverflow, LITPolicy
 from repro.core.llp import LineLocationPredictor
 from repro.core.markers import MarkerScheme, SlotClass, SlotKind, invert
-from repro.core.memzip import MemZipConfig, MemZipController
+from repro.core.memzip import MemZipController
 from repro.core.metadata_table import MetadataTableConfig, MetadataTableController
 from repro.core.packing import (
     compress_group,
@@ -63,7 +63,6 @@ __all__ = [
     "SlotClass",
     "SlotKind",
     "invert",
-    "MemZipConfig",
     "MemZipController",
     "MetadataTableConfig",
     "MetadataTableController",

@@ -38,13 +38,9 @@ class IdealTMCController(MemoryController):
         memory: PhysicalMemory,
         dram: DRAMSystem,
         compressor: Optional[CompressionAlgorithm] = None,
-        marker_size: int = 4,
-        decompression_latency: int = DECOMPRESSION_LATENCY,
     ) -> None:
         super().__init__(memory, dram)
         self.compressor = compressor if compressor is not None else HybridCompressor()
-        self.marker_size = marker_size
-        self.decompression_latency = decompression_latency
         self._write_credit: dict = {}
 
     def _fits(self, addrs, level: Level) -> bool:
@@ -54,7 +50,7 @@ class IdealTMCController(MemoryController):
         bytes + marker reserve) so the co-fetch opportunity matches what
         PTMC could achieve with perfect knowledge.
         """
-        budget = payload_budget(level, self.marker_size)
+        budget = payload_budget(level)
         total = 0
         for addr in addrs:
             size = self.compressor.compressed_size(self.memory.read(addr))
@@ -79,7 +75,7 @@ class IdealTMCController(MemoryController):
         co_fetched = address_map.slot_members(address_map.location_for(addr, level), level)
         extras = {m: self.memory.read(m) for m in co_fetched if m != addr}
         if level is not Level.UNCOMPRESSED:
-            completion += self.decompression_latency
+            completion += DECOMPRESSION_LATENCY
         return ReadResult(
             addr=addr,
             data=self.memory.read(addr),

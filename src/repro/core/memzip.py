@@ -17,41 +17,31 @@ co-fetch, and it pays the same metadata traffic that motivates PTMC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cache.cache import EvictedLine
 from repro.compression.base import LINE_SIZE, CompressionAlgorithm
 from repro.compression.hybrid import HybridCompressor
 from repro.core.base_controller import DECOMPRESSION_LATENCY, LLCView
-from repro.core.metadata_table import TableMetadataController
+from repro.core.metadata_table import MetadataTableConfig, TableMetadataController
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.obs.stats import StatScope
 from repro.types import Category, Level, ReadResult, WriteResult
 
 
-@dataclass(frozen=True)
-class MemZipConfig:
-    """Metadata organisation and burst quantisation."""
-
-    cache_bytes: int = 32 * 1024
-    cache_ways: int = 8
-    lines_per_metadata_slot: int = 128  # 4-bit burst count x 128 lines = 64B
-    decompression_latency: int = DECOMPRESSION_LATENCY
-
-
 class MemZipController(TableMetadataController):
     """Per-line compressed storage with variable burst lengths."""
 
     name = "memzip"
+    LINES_PER_SLOT = 128  # 4-bit burst count x 128 lines = 64 bytes
 
     def __init__(
         self,
         memory: PhysicalMemory,
         dram: DRAMSystem,
         compressor: Optional[CompressionAlgorithm] = None,
-        config: MemZipConfig = MemZipConfig(),
+        config: MetadataTableConfig = MetadataTableConfig(),
     ) -> None:
         super().__init__(memory, dram, config, "memzip_metadata")
         self.compressor = compressor if compressor is not None else HybridCompressor()
@@ -87,7 +77,7 @@ class MemZipController(TableMetadataController):
             # compressed slot layout: [payload length][payload][padding]
             payload = raw[1 : 1 + raw[0]]
             data = self.compressor.decompress(payload)
-            completion += self.config.decompression_latency
+            completion += DECOMPRESSION_LATENCY
         return ReadResult(
             addr=addr, data=data, level=Level.UNCOMPRESSED, completion=completion
         )

@@ -37,12 +37,10 @@ from repro.types import Category, Level, ReadResult, WriteResult
 
 @dataclass(frozen=True)
 class MetadataTableConfig:
-    """Metadata-cache and table organisation."""
+    """The on-chip metadata cache (shared by table TMC and MemZip)."""
 
     cache_bytes: int = 32 * 1024
     cache_ways: int = 8
-    lines_per_metadata_slot: int = 256  # 2 bits x 256 lines = 64 bytes
-    decompression_latency: int = DECOMPRESSION_LATENCY
 
 
 def _no_marker(slot: int, level: Level) -> bytes:
@@ -54,13 +52,20 @@ class TableMetadataController(MemoryController):
     """Front end of a memory-mapped metadata table with an on-chip cache.
 
     Shared by the table-based designs (table TMC, MemZip): each metadata
-    line covers ``config.lines_per_metadata_slot`` data lines, the table
+    line covers the subclass's ``LINES_PER_SLOT`` data lines, the table
     sits at the top of physical memory, and a metadata-cache miss costs
     a DRAM access (plus a write-back of a dirty victim).
     """
 
+    #: data lines one 64-byte metadata line describes
+    LINES_PER_SLOT: int
+
     def __init__(
-        self, memory: PhysicalMemory, dram: DRAMSystem, config, cache_name: str
+        self,
+        memory: PhysicalMemory,
+        dram: DRAMSystem,
+        config: MetadataTableConfig,
+        cache_name: str,
     ) -> None:
         super().__init__(memory, dram)
         self.config = config
@@ -68,7 +73,7 @@ class TableMetadataController(MemoryController):
 
     def _metadata_addr(self, line_addr: int) -> int:
         """Physical slot of the metadata line covering ``line_addr``."""
-        index = line_addr // self.config.lines_per_metadata_slot
+        index = line_addr // self.LINES_PER_SLOT
         return self.memory.capacity_lines - 1 - index
 
     def _touch_metadata(self, line_addr: int, now: int, dirty: bool) -> None:
@@ -96,6 +101,7 @@ class MetadataTableController(TableMetadataController):
     """Table-based TMC: CSI in memory + on-chip metadata cache."""
 
     name = "tmc_table"
+    LINES_PER_SLOT = 256  # 2-bit CSI x 256 lines = 64 bytes
 
     def __init__(
         self,
@@ -146,7 +152,7 @@ class MetadataTableController(TableMetadataController):
             addr=addr,
             data=lines[members.index(addr)],
             level=level,
-            completion=completion + self.config.decompression_latency,
+            completion=completion + DECOMPRESSION_LATENCY,
             extra_lines=extras,
         )
 

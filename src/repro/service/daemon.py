@@ -41,7 +41,6 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cache.replacement import POLICIES
 from repro.obs.logging import StructuredLog
 from repro.obs.stats import StatRegistry, StatScope, is_segment
 from repro.obs.tracing import async_begin, async_end
@@ -368,11 +367,6 @@ class ServiceDaemon:
             raise SubmitError(
                 f"unsupported config overrides {sorted(unknown)}; "
                 f"allowed: {sorted(ALLOWED_CONFIG_KEYS)}"
-            )
-        llc_policy = config_overrides.get("llc_policy")
-        if llc_policy is not None and llc_policy not in POLICIES:
-            raise SubmitError(
-                f"unknown llc_policy {llc_policy!r}; choose from {sorted(POLICIES)}"
             )
         try:
             workload = runner.resolve_workload(workload_name, config_overrides)

@@ -14,9 +14,9 @@ Two preset scales are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from repro.cache.hierarchy import HierarchyConfig
+from repro.cache.replacement import DEFAULT_POLICY, POLICIES
 from repro.core.metadata_table import MetadataTableConfig
 from repro.core.ptmc import PTMCConfig
 from repro.dram.timing import DDRTiming, DRAMGeometry
@@ -54,19 +54,30 @@ class SimConfig:
     seed: int = 0
     page_policy: str = "open"
     refresh: bool = True
-    llc_policy: Optional[str] = None
-    """LLC replacement-policy override (a registry name from
+    llc_policy: str = DEFAULT_POLICY
+    """The L3 replacement policy (a registry name from
     :mod:`repro.cache.replacement`: ``lru``/``fifo``/``random``/``srrip``/
-    ``pref_lru``).  ``None`` defers to ``hierarchy.l3_policy``.  The knob
-    is an ordinary serialisable field, so it participates in the
-    disk-cache key: two runs differing only in replacement policy never
-    share a stored result."""
+    ``pref_lru``); ``random`` is seeded from ``seed``.  L1, L2 and the
+    metadata caches always run LRU.  The knob is an ordinary serialisable
+    field, so it participates in the disk-cache key: two runs differing
+    only in replacement policy never share a stored result, and the
+    default and an explicit ``"lru"`` are one identity."""
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
     timing: DDRTiming = field(default_factory=DDRTiming)
     geometry: DRAMGeometry = field(default_factory=DRAMGeometry)
     metadata: MetadataTableConfig = field(default_factory=MetadataTableConfig)
     ptmc: PTMCConfig = field(default_factory=PTMCConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
+
+    def __post_init__(self) -> None:
+        for name, low in (("ops_per_core", 1), ("warmup_ops", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+        if not isinstance(self.llc_policy, str) or self.llc_policy not in POLICIES:
+            raise ValueError(
+                f"unknown llc_policy {self.llc_policy!r}; choose from {sorted(POLICIES)}"
+            )
 
     def with_(self, **overrides) -> "SimConfig":
         """Functional update (the config is frozen)."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 from typing import Optional, Tuple
 
@@ -10,7 +9,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.compression.batch import BatchCompressor
 from repro.core.base_controller import MemoryController
 from repro.core.ideal import IdealTMCController
-from repro.core.memzip import MemZipConfig, MemZipController
+from repro.core.memzip import MemZipController
 from repro.core.metadata_table import MetadataTableController
 from repro.core.policy import AlwaysOnPolicy, CompressionPolicy, SamplingPolicy
 from repro.core.prefetch import NextLinePrefetchController
@@ -51,8 +50,7 @@ def build_controller(
     if design == "tmc_table":
         return MetadataTableController(memory, dram, config=config.metadata), None
     if design == "memzip":
-        memzip_config = MemZipConfig(cache_bytes=config.metadata.cache_bytes)
-        return MemZipController(memory, dram, config=memzip_config), None
+        return MemZipController(memory, dram, config=config.metadata), None
     if design == "ideal":
         return IdealTMCController(memory, dram), None
     if design == "static_ptmc":
@@ -105,12 +103,7 @@ class SimulatedSystem:
         self.controller, self.policy = build_controller(
             design, self.memory, self.dram, config
         )
-        hcfg = config.hierarchy
-        if hcfg.num_cores != config.num_cores:
-            hcfg = dataclasses.replace(hcfg, num_cores=config.num_cores)
-        if config.llc_policy is not None and hcfg.l3_policy != config.llc_policy:
-            hcfg = dataclasses.replace(hcfg, l3_policy=config.llc_policy)
-        self.hierarchy = CacheHierarchy(self.controller, hcfg, self.policy)
+        self.hierarchy = CacheHierarchy(self.controller, config, self.policy)
         self.batch = self._make_batch()
         total_ops = config.ops_per_core + config.warmup_ops
         self.cores = [

@@ -36,6 +36,25 @@ class TestParser:
         args = build_parser().parse_args(["--ops", "123", "list"])
         assert args.ops == 123
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--ops", "0"],
+            ["--ops", "-5"],
+            ["--ops", "abc"],
+            ["--warmup", "-1"],
+            ["--warmup", "1.5"],
+        ],
+    )
+    def test_bad_run_lengths_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "run", "lbm06", "ideal"])
+        assert excinfo.value.code == 2
+        assert "is not an integer >=" in capsys.readouterr().err
+
+    def test_zero_warmup_accepted(self):
+        assert build_parser().parse_args(["--warmup", "0", "list"]).warmup == 0
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -8,6 +8,7 @@ from repro.cpu.core import CoreModel
 from repro.cpu.trace import TraceRecord, trace_from_lists
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
+from repro.sim.config import SimConfig
 from repro.vm.page_table import PageTable
 
 
@@ -16,7 +17,10 @@ def make_core(records, mlp=4, width=4, cores=1):
     dram = DRAMSystem()
     hierarchy = CacheHierarchy(
         UncompressedController(memory, dram),
-        HierarchyConfig(num_cores=cores, l1_bytes=1024, l2_bytes=4096, l3_bytes=16384),
+        SimConfig(
+            num_cores=cores,
+            hierarchy=HierarchyConfig(l1_bytes=1024, l2_bytes=4096, l3_bytes=16384),
+        ),
     )
     page_table = PageTable(1 << 16)
     return CoreModel(0, iter(records), hierarchy, page_table, width=width, mlp=mlp)

@@ -361,16 +361,19 @@ class TestPolicyKeying:
     def test_llc_policy_knob_changes_key(self):
         w = get_workload("lbm06")
         keys = {cache_key(w, "static_ptmc", CFG.with_(llc_policy=p))
-                for p in (None, "lru", "fifo", "random", "srrip", "pref_lru")}
-        assert len(keys) == 6  # None and explicit "lru" are distinct identities
+                for p in ("lru", "fifo", "random", "srrip", "pref_lru")}
+        assert len(keys) == 5
+        # the default policy is lru: one simulation, one identity
+        assert cache_key(w, "static_ptmc", CFG) == cache_key(
+            w, "static_ptmc", CFG.with_(llc_policy="lru")
+        )
 
     def test_hierarchy_policy_fields_change_key(self):
         w = get_workload("lbm06")
         base = cache_key(w, "ideal", CFG)
-        hcfg = dataclasses.replace(CFG.hierarchy, l3_policy="srrip")
-        assert cache_key(w, "ideal", CFG.with_(hierarchy=hcfg)) != base
-        seeded = dataclasses.replace(CFG.hierarchy, policy_seed=1)
-        assert cache_key(w, "ideal", CFG.with_(hierarchy=seeded)) != base
+        assert cache_key(w, "ideal", CFG.with_(llc_policy="srrip")) != base
+        # the seed feeds the random policy, so it is part of the identity
+        assert cache_key(w, "ideal", CFG.with_(seed=1)) != base
 
     def test_policy_differing_runs_store_distinct_results(self, tmp_path):
         runner.configure_disk_cache(tmp_path)

@@ -1,7 +1,5 @@
 """Tests for the cache hierarchy wired to a memory controller."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,15 +11,14 @@ from repro.core.ptmc import PTMCController
 from repro.core.uncompressed import UncompressedController
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
+from repro.sim.config import SimConfig
 from tests.lineutils import quad_friendly_line
 
 LINE = b"\x00" * 64
 
-SMALL = HierarchyConfig(
+SMALL = SimConfig(
     num_cores=2,
-    l1_bytes=1024,
-    l2_bytes=4 * 1024,
-    l3_bytes=16 * 1024,
+    hierarchy=HierarchyConfig(l1_bytes=1024, l2_bytes=4 * 1024, l3_bytes=16 * 1024),
 )
 
 
@@ -159,15 +156,17 @@ class TestPrefetchAccounting:
 
 class TestPolicyHierarchyProperties:
     """The inclusion and occupancy invariants hold for every registered
-    replacement policy, not just the default LRU path."""
+    L3 replacement policy, not just the default LRU path (L1 and L2
+    always run LRU)."""
 
     @staticmethod
     def _policy_hierarchy(policy):
         memory = PhysicalMemory(1 << 16)
-        cfg = dataclasses.replace(
-            SMALL, l1_policy=policy, l2_policy=policy, l3_policy=policy, policy_seed=5
-        )
-        return CacheHierarchy(UncompressedController(memory, DRAMSystem()), cfg)
+        cfg = SMALL.with_(llc_policy=policy, seed=5)
+        h = CacheHierarchy(UncompressedController(memory, DRAMSystem()), cfg)
+        assert type(h.l3.policy).name == policy
+        assert all(type(c.policy).name == "lru" for c in (*h.l1s, *h.l2s))
+        return h
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     @settings(deadline=None, max_examples=15)

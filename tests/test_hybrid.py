@@ -110,7 +110,7 @@ class TestHybrid:
             assert size == hybrid.compressed_size(line)
 
     def test_cached_size_lifecycle(self):
-        h = HybridCompressor([FixedSize("only", 10)], memoize=True)
+        h = HybridCompressor([FixedSize("only", 10)])
         line = b"\x07" * 64
         assert h.cached_size(line) is None  # never compressed yet
         assert h.compressed_size(line) == 11  # payload + tag byte
@@ -119,23 +119,18 @@ class TestHybrid:
         assert h.cached_size(line) is None
 
     def test_cached_size_derives_from_payload_memo(self):
-        h = HybridCompressor([FixedSize("only", 10)], memoize=True)
+        h = HybridCompressor([FixedSize("only", 10)])
         line = b"\x07" * 64
         h.compress(line)  # fills the payload memo
         h._sizes.clear()  # size memo empty: must derive, not recompress
         assert h.cached_size(line) == 11
 
     def test_seed_sizes_feeds_compressed_size(self):
-        h = HybridCompressor([FixedSize("only", 10)], memoize=True)
+        h = HybridCompressor([FixedSize("only", 10)])
         line = b"\x07" * 64
         h.seed_sizes([line], [11])
         assert h.cached_size(line) == 11
         assert h.compressed_size(line) == 11
-
-    def test_seed_sizes_noop_without_memo(self):
-        h = HybridCompressor([FixedSize("only", 10)], memoize=False)
-        h.seed_sizes([b"\x07" * 64], [11])
-        assert h.cached_size(b"\x07" * 64) is None
 
 
 class TestTieBreaking:
@@ -144,30 +139,25 @@ class TestTieBreaking:
     The rule (strict ``<`` in constructor order) is load-bearing: the
     vectorized batch kernel applies the same first-minimum selection, and
     any divergence would break the batch-vs-scalar bitwise-identity
-    guarantee the simulator relies on.
+    guarantee the simulator relies on.  Memo pools are shared by
+    algorithm names, so each double below has a name of its own.
     """
 
     def test_tie_keeps_first_algorithm(self):
         line = b"\x07" * 64
-        h = HybridCompressor(
-            [FixedSize("a", 8), FixedSize("b", 8)], memoize=False
-        )
+        h = HybridCompressor([FixedSize("a8", 8), FixedSize("b8", 8)])
         payload = h.compress(line)
         assert payload is not None and payload[0] == 0
 
     def test_tie_follows_constructor_order(self):
         line = b"\x07" * 64
-        h = HybridCompressor(
-            [FixedSize("b", 8), FixedSize("a", 8)], memoize=False
-        )
+        h = HybridCompressor([FixedSize("b8", 8), FixedSize("a8", 8)])
         payload = h.compress(line)
         assert payload[0] == 0  # still the first listed, not a name sort
 
     def test_strictly_smaller_still_wins(self):
         line = b"\x07" * 64
-        h = HybridCompressor(
-            [FixedSize("a", 9), FixedSize("b", 8)], memoize=False
-        )
+        h = HybridCompressor([FixedSize("a9", 9), FixedSize("b8", 8)])
         assert h.compress(line)[0] == 1
 
     def test_real_algorithm_ties_are_deterministic(self):
@@ -177,16 +167,17 @@ class TestTieBreaking:
         lines = [small_int_line(start=i, step=1) for i in range(32)]
         lines += [pointer_line(base=0x7FFF_AB00_0000 + i * 0x1000) for i in range(8)]
         lines += [random_line(rng) for _ in range(8)]
-        fresh = HybridCompressor(memoize=False)
-        memo = HybridCompressor(memoize=False)
-        for line in lines:
-            a, b = fresh.compress(line), memo.compress(line)
-            assert a == b
+        hybrid = HybridCompressor()
+        hybrid.clear_cache()
+        first = [hybrid.compress(line) for line in lines]
+        assert [hybrid.compress(line) for line in lines] == first  # memo hits
+        hybrid.clear_cache()
+        assert [hybrid.compress(line) for line in lines] == first  # recomputed
 
 
 @given(any_lines)
 def test_hybrid_roundtrip_property(line):
-    hybrid = HybridCompressor(memoize=False)
+    hybrid = HybridCompressor()
     payload = hybrid.compress(line)
     if payload is not None:
         assert len(payload) < 64
@@ -195,7 +186,7 @@ def test_hybrid_roundtrip_property(line):
 
 @given(any_lines)
 def test_hybrid_never_worse_than_components(line):
-    hybrid = HybridCompressor(memoize=False)
+    hybrid = HybridCompressor()
     payload = hybrid.compress(line)
     for algorithm in (FPC(), BDI()):
         component = algorithm.compress(line)

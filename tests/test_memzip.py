@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.core.memzip import MemZipConfig, MemZipController
+from repro.core.memzip import MemZipController
+from repro.core.metadata_table import MetadataTableConfig
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from tests.controller_harness import FakeLLC, category_counts, evicted
@@ -75,7 +76,7 @@ class TestMetadata:
         assert category_counts(memzip)["metadata_read"] == 1
 
     def test_size_change_dirties_metadata(self, memzip):
-        config = MemZipConfig(cache_bytes=2 * 64, cache_ways=1)
+        config = MetadataTableConfig(cache_bytes=2 * 64, cache_ways=1)
         small = MemZipController(PhysicalMemory(1 << 16), DRAMSystem(refresh=False), config=config)
         small.handle_eviction(evicted(5, zero_line()), 0, 0, FakeLLC())
         for i in range(8):

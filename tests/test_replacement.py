@@ -19,7 +19,10 @@ ALL_POLICIES = sorted(POLICIES)
 
 def small_cache(policy, ways=2, sets=4, name="cache", seed=0):
     return Cache(
-        size_bytes=ways * sets * 64, ways=ways, name=name, policy=policy, policy_seed=seed
+        size_bytes=ways * sets * 64,
+        ways=ways,
+        name=name,
+        policy=make_policy(policy, cache_name=name, seed=seed),
     )
 
 
@@ -221,7 +224,7 @@ def test_occupancy_and_victims_invariant(policy, stream):
     """Under arbitrary access streams, every policy keeps each set within
     its way budget, evicts only resident lines, and keeps hit/miss
     accounting consistent with residency."""
-    cache = Cache(2 * 4 * 64, ways=2, policy=policy, name="prop", policy_seed=1)
+    cache = Cache(2 * 4 * 64, ways=2, policy=make_policy(policy, "prop", seed=1), name="prop")
     expected_hits = expected_misses = 0
     for addr, is_fill, prefetched in stream:
         resident_before = cache.probe(addr) is not None

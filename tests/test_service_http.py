@@ -186,6 +186,17 @@ class TestApiSurface:
             ("POST", "/jobs", {"timeout": -1.0}),
             ("POST", "/jobs", {"timeout": "5"}),
             ("POST", "/jobs", {"timeout": True}),
+            ("POST", "/jobs", {"config": {"ops_per_core": "abc"}}),
+            ("POST", "/jobs", {"config": {"ops_per_core": -5}}),
+            ("POST", "/jobs", {"config": {"ops_per_core": 0}}),
+            ("POST", "/jobs", {"config": {"ops_per_core": 1.5}}),
+            ("POST", "/jobs", {"config": {"ops_per_core": True}}),
+            ("POST", "/jobs", {"config": {"warmup_ops": -1}}),
+            ("POST", "/jobs", {"config": {"warmup_ops": "x"}}),
+            ("POST", "/jobs", {"config": {"warmup_ops": False}}),
+            ("POST", "/jobs", {"config": {"llc_policy": None}}),
+            ("POST", "/jobs", {"config": {"llc_policy": "belady"}}),
+            ("POST", "/jobs", {"config": {"llc_policy": 3}}),
         ],
     )
     def test_malformed_numbers_are_400(self, paused_daemon, method, path, body):
@@ -316,6 +327,14 @@ class TestPolicySubmission:
         )
         assert lru["created"] and srrip["created"]
         assert lru["key"] != srrip["key"]
+
+    def test_default_and_explicit_lru_are_one_job(self, paused_daemon):
+        client = ServiceClient(paused_daemon.url)
+        default = client.submit("lbm06", "static_ptmc")
+        explicit = client.submit("lbm06", "static_ptmc", llc_policy="lru")
+        assert default["created"] and not explicit["created"]
+        assert explicit["id"] == default["id"]
+        assert len(paused_daemon.store.list_jobs()) == 1
 
     def test_unknown_policy_rejected(self, daemon):
         client = ServiceClient(daemon.url)

@@ -34,6 +34,24 @@ class TestConfigs:
         assert cfg.capacity_lines == 1 << 28  # 16GB
         assert cfg.hierarchy.l3_bytes == 8 * 1024 * 1024
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"ops_per_core": 0},
+            {"ops_per_core": -5},
+            {"ops_per_core": 1.5},
+            {"ops_per_core": "abc"},
+            {"ops_per_core": True},
+            {"warmup_ops": -1},
+            {"warmup_ops": False},
+            {"llc_policy": None},
+            {"llc_policy": "belady"},
+        ],
+    )
+    def test_bad_values_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            bench_config(**overrides)
+
 
 class TestBuildController:
     def test_all_designs_instantiate(self):

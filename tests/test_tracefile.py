@@ -89,6 +89,7 @@ class TestImport:
         from repro.cpu.core import CoreModel
         from repro.dram.storage import PhysicalMemory
         from repro.dram.system import DRAMSystem
+        from repro.sim.config import SimConfig
         from repro.vm.page_table import PageTable
 
         text = [f"R {addr * 64}" for addr in range(60)]
@@ -102,7 +103,10 @@ class TestImport:
 
         hierarchy = CacheHierarchy(
             UncompressedController(PhysicalMemory(1 << 16), DRAMSystem()),
-            HierarchyConfig(num_cores=1, l1_bytes=1024, l2_bytes=4096, l3_bytes=16384),
+            SimConfig(
+                num_cores=1,
+                hierarchy=HierarchyConfig(l1_bytes=1024, l2_bytes=4096, l3_bytes=16384),
+            ),
         )
         core = CoreModel(0, iter(records), hierarchy, PageTable(1 << 16))
         while core.step():
