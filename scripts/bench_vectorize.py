@@ -1,9 +1,12 @@
 #!/usr/bin/env python
-"""Micro-benchmark: scalar vs vectorized compressed-size throughput.
+"""Micro-benchmark: scalar vs vectorized kernel throughput.
 
 Times every compression algorithm's scalar ``compressed_size`` reference
-against its vectorized ``batch_sizes`` kernel over one pinned corpus and
-writes the result as ``BENCH_vectorize.json`` (see README "Benchmarks").
+against its vectorized ``batch_sizes`` kernel over one pinned corpus, and
+the scalar line renderer ``DataGenerator.line`` against
+``DataGenerator.render_many`` over one pinned key set (the
+``line_render`` row), and writes the result as ``BENCH_vectorize.json``
+(see README "Benchmarks").
 The corpus and measurement protocol are fixed so runs are comparable:
 
 - corpus: 4096 lines, deterministic families (zero, sparse, clustered,
@@ -12,7 +15,11 @@ The corpus and measurement protocol are fixed so runs are comparable:
 - scalar side: best of ``--repeats`` passes over a pinned subsample
   (the scalar path's lines/sec does not depend on corpus size), with
   the hybrid's memo cleared before each pass so repetition cannot fake
-  throughput.
+  throughput;
+- line rendering: ``CORPUS_LINES`` distinct ``(vline, version)`` keys of
+  a graph-like data generator from the pinned seed, the scalar side over
+  the first ``SCALAR_SAMPLE`` of them, with the generator's memo cleared
+  before every pass of either side.
 
 ``--check BASELINE`` turns the run into a regression gate: it fails if
 any algorithm's batch-over-scalar speedup drops more than 20% below the
@@ -44,6 +51,7 @@ from repro.compression import (  # noqa: E402
     lines_to_array,
 )
 from repro.compression.base import LINE_SIZE  # noqa: E402
+from repro.workloads.data_patterns import GRAPH_LIKE, DataGenerator  # noqa: E402
 
 SCHEMA = 1
 CORPUS_SEED = 20260807
@@ -136,6 +144,31 @@ def bench_algorithm(algorithm, lines, array, repeats: int) -> dict:
     }
 
 
+def bench_line_render(repeats: int) -> dict:
+    """Scalar ``DataGenerator.line`` vs ``render_many`` on pinned keys."""
+    rng = random.Random(CORPUS_SEED)
+    keys = list(
+        dict.fromkeys((rng.randrange(1 << 20), rng.randrange(4)) for _ in range(CORPUS_LINES))
+    )
+    generator = DataGenerator(GRAPH_LIKE, seed=CORPUS_SEED, write_scramble=0.35)
+    sample = keys[:SCALAR_SAMPLE]
+
+    def scalar_pass():
+        for vline, version in sample:
+            generator.line(vline, version)
+
+    clear_memo = generator._memo.clear
+    scalar_seconds = _best_time(scalar_pass, repeats, setup=clear_memo)
+    batch_seconds = _best_time(lambda: generator.render_many(keys), repeats, setup=clear_memo)
+    scalar_lps = len(sample) / scalar_seconds
+    batch_lps = len(keys) / batch_seconds
+    return {
+        "scalar_lines_per_sec": round(scalar_lps),
+        "batch_lines_per_sec": round(batch_lps),
+        "speedup": round(batch_lps / scalar_lps, 2),
+    }
+
+
 def run(repeats: int) -> dict:
     lines = build_corpus()
     array = lines_to_array(lines)
@@ -144,9 +177,10 @@ def run(repeats: int) -> dict:
         per_algorithm[algorithm.name] = bench_algorithm(
             algorithm, lines, array, repeats
         )
-        row = per_algorithm[algorithm.name]
+    per_algorithm["line_render"] = bench_line_render(repeats)
+    for name, row in per_algorithm.items():
         print(
-            f"{algorithm.name:>8}: scalar {row['scalar_lines_per_sec']:>9,} lps  "
+            f"{name:>11}: scalar {row['scalar_lines_per_sec']:>9,} lps  "
             f"batch {row['batch_lines_per_sec']:>11,} lps  "
             f"speedup {row['speedup']:>6.2f}x"
         )

@@ -26,19 +26,29 @@ recompressing whole trace chunks line by line.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.compression.base import LINE_SIZE, CompressionAlgorithm, CompressionError
 from repro.compression.bdi import BDI
 from repro.compression.fpc import FPC
 
-#: process-wide payload memo pools, keyed by the algorithm-name tuple
-_SHARED_CACHES: Dict[Tuple[str, ...], Dict[bytes, Optional[bytes]]] = {}
+#: process-wide payload memo pools, keyed by :func:`_pool_key`
+_SHARED_CACHES: Dict[Hashable, Dict[bytes, Optional[bytes]]] = {}
 
 #: process-wide size memo pools (same keying); sizes are derivable from
 #: payloads but much cheaper to produce in batch, so they get their own
 #: layer that the vectorized kernels can seed directly
-_SHARED_SIZE_CACHES: Dict[Tuple[str, ...], Dict[bytes, int]] = {}
+_SHARED_SIZE_CACHES: Dict[Hashable, Dict[bytes, int]] = {}
+
+
+def _pool_key(algorithms: Sequence[CompressionAlgorithm]) -> Hashable:
+    """What decides the payloads: each algorithm's class and constructor state.
+
+    Algorithms are stateless after construction, so two instances of one
+    class whose attributes print alike compress identically and may share
+    a pool; a different class, dictionary, size or name gets its own.
+    """
+    return tuple((type(a), repr(sorted(vars(a).items()))) for a in algorithms)
 
 
 class HybridCompressor(CompressionAlgorithm):
@@ -58,10 +68,10 @@ class HybridCompressor(CompressionAlgorithm):
         if len(algs) > 255:
             raise ValueError("at most 255 algorithms (one-byte tag)")
         self._algorithms: Tuple[CompressionAlgorithm, ...] = tuple(algs)
-        # results are shared across instances with the same algorithm list:
+        # results are shared across instances with the same algorithms:
         # simulations run several designs over identical workload data, and
         # compression is a pure function of (algorithms, line)
-        key = tuple(a.name for a in self._algorithms)
+        key = _pool_key(self._algorithms)
         self._cache: Dict[bytes, Optional[bytes]] = _SHARED_CACHES.setdefault(key, {})
         self._sizes: Dict[bytes, int] = _SHARED_SIZE_CACHES.setdefault(key, {})
 

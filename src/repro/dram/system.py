@@ -53,17 +53,9 @@ class DRAMStats:
     busy_cycles: int = 0
     refresh_stalls: int = 0
 
-    def count(self, category: Category) -> None:
-        self.accesses_by_category[category] = (
-            self.accesses_by_category.get(category, 0) + 1
-        )
-
     @property
     def total_accesses(self) -> int:
         return sum(self.accesses_by_category.values())
-
-    def category_count(self, *categories: Category) -> int:
-        return sum(self.accesses_by_category.get(c, 0) for c in categories)
 
 
 class DRAMSystem:
@@ -87,6 +79,7 @@ class DRAMSystem:
         self.timing = timing
         self.geometry = geometry
         self.page_policy = page_policy
+        self._open_page = page_policy == "open"
         self.refresh = refresh
         self.stats = DRAMStats()
         self._drain_threshold = write_queue_entries * timing.t_burst
@@ -112,21 +105,6 @@ class DRAMSystem:
                 lambda c=category: stats.accesses_by_category.get(c, 0),
             )
 
-    def _after_refresh(self, start: int) -> int:
-        """Push ``start`` past any overlapping refresh window.
-
-        All banks of a channel refresh together once per tREFI and are
-        unavailable for tRFC — the standard all-bank refresh model.
-        """
-        if not self.refresh:
-            return start
-        t_refi, t_rfc = self.timing.t_refi, self.timing.t_rfc
-        offset = start % t_refi
-        if offset < t_rfc:
-            self.stats.refresh_stalls += 1
-            return start - offset + t_rfc
-        return start
-
     def access(
         self,
         line_addr: int,
@@ -145,27 +123,35 @@ class DRAMSystem:
         ``burst_bytes`` supports non-commodity variable-burst DIMMs
         (MemZip-style): bus occupancy scales with the transfer size in
         8-byte beats; commodity accesses always move 64 bytes.
+
+        Refresh: all banks of a channel refresh together once per tREFI
+        and are unavailable for tRFC (the standard all-bank model), so a
+        read starting inside that window waits for its end.
         """
         timing = self.timing
-        decoded = self.geometry.decode(line_addr)
-        channel = self._channels[decoded.channel]
-        bank = channel.banks[decoded.bank]
-        self.stats.count(category)
-        beats = max(1, (burst_bytes + 7) // 8)
-        t_transfer = max(1, timing.t_burst * beats // 8)
+        stats = self.stats
+        channel_id, bank_id, row, _ = self.geometry.decode(line_addr)
+        channel = self._channels[channel_id]
+        bank = channel.banks[bank_id]
+        by_category = stats.accesses_by_category
+        by_category[category] = by_category.get(category, 0) + 1
+        t_transfer = timing.t_burst
+        if burst_bytes != 64:
+            t_transfer = max(1, t_transfer * max(1, (burst_bytes + 7) // 8) // 8)
+        open_page = self._open_page
 
         if category.is_write:
             # row-buffer statistics still apply; timing goes to the backlog
-            if self.page_policy == "open" and bank.open_row == decoded.row:
-                self.stats.row_hits += 1
+            if open_page and bank.open_row == row:
+                stats.row_hits += 1
             else:
-                self.stats.row_misses += 1
-                self.stats.activations += 1
-                if self.page_policy == "open":
-                    bank.open_row = decoded.row
+                stats.row_misses += 1
+                stats.activations += 1
+                if open_page:
+                    bank.open_row = row
             channel.write_backlog += t_transfer
-            self.stats.writes += 1
-            self.stats.busy_cycles += t_transfer
+            stats.writes += 1
+            stats.busy_cycles += t_transfer
             return now
 
         # drain buffered writes into any idle bus time before this read
@@ -180,25 +166,30 @@ class DRAMSystem:
                 )
                 channel.write_backlog = 0
 
-        start = self._after_refresh(max(now, bank.ready_at))
-        if self.page_policy == "closed":
+        start = bank.ready_at if bank.ready_at > now else now
+        if self.refresh:
+            offset = start % timing.t_refi
+            if offset < timing.t_rfc:
+                stats.refresh_stalls += 1
+                start += timing.t_rfc - offset
+        if not open_page:
             # rows auto-precharge after every access: constant activate cost
-            self.stats.row_misses += 1
-            self.stats.activations += 1
+            stats.row_misses += 1
+            stats.activations += 1
             bank.activated_at = start
             data_ready = start + timing.t_rcd + timing.t_cas
-        elif bank.open_row == decoded.row:
-            self.stats.row_hits += 1
+        elif bank.open_row == row:
+            stats.row_hits += 1
             data_ready = start + timing.t_cas
         else:
-            self.stats.row_misses += 1
-            self.stats.activations += 1
+            stats.row_misses += 1
+            stats.activations += 1
             if bank.open_row != -1:
                 # must precharge; respect tRAS since the last activate
                 precharge_at = max(start, bank.activated_at + timing.t_ras)
                 start = precharge_at + timing.t_rp
             bank.activated_at = start
-            bank.open_row = decoded.row
+            bank.open_row = row
             data_ready = start + timing.t_rcd + timing.t_cas
 
         transfer_start = max(data_ready, channel.bus_free_at)
@@ -206,8 +197,8 @@ class DRAMSystem:
         channel.bus_free_at = completion
         bank.ready_at = transfer_start  # next column command can pipeline in
 
-        self.stats.reads += 1
-        self.stats.busy_cycles += t_transfer
+        stats.reads += 1
+        stats.busy_cycles += t_transfer
         return completion
 
     def channel_utilisation(self, elapsed_cycles: int) -> float:

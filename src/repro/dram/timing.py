@@ -4,11 +4,18 @@ The paper's system runs 8 cores at 3.2GHz over a DDR4-1600 memory system
 (800MHz bus) with 2 channels and 2 ranks per channel.  All timing here is
 expressed in CPU cycles: one bus clock is 4 CPU cycles, and a 64-byte
 burst (BL8, double data rate) occupies the data bus for 4 bus clocks.
+
+Both records are frozen, so every derived value (cycle counts, banks per
+channel) is computed once per instance and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
+
+_tuple_new = tuple.__new__
 
 
 def ns_to_cycles(ns: float, cpu_ghz: float) -> int:
@@ -30,41 +37,41 @@ class DDRTiming:
     trefi_ns: float = 7_800.0
     trfc_ns: float = 350.0
 
-    @property
+    @cached_property
     def cycles_per_bus_clock(self) -> int:
         return round(self.cpu_ghz * 1000.0 / self.bus_mhz)
 
-    @property
+    @cached_property
     def t_cas(self) -> int:
         """CAS latency: column command to first data beat."""
         return ns_to_cycles(self.tcas_ns, self.cpu_ghz)
 
-    @property
+    @cached_property
     def t_rcd(self) -> int:
         """Activate to column command."""
         return ns_to_cycles(self.trcd_ns, self.cpu_ghz)
 
-    @property
+    @cached_property
     def t_rp(self) -> int:
         """Precharge latency."""
         return ns_to_cycles(self.trp_ns, self.cpu_ghz)
 
-    @property
+    @cached_property
     def t_ras(self) -> int:
         """Minimum activate-to-precharge interval."""
         return ns_to_cycles(self.tras_ns, self.cpu_ghz)
 
-    @property
+    @cached_property
     def t_burst(self) -> int:
         """Data-bus occupancy of one 64-byte transfer (BL8 @ DDR)."""
         return 4 * self.cycles_per_bus_clock
 
-    @property
+    @cached_property
     def t_refi(self) -> int:
         """Average refresh interval (one REF command per tREFI)."""
         return ns_to_cycles(self.trefi_ns, self.cpu_ghz)
 
-    @property
+    @cached_property
     def t_rfc(self) -> int:
         """Refresh cycle time: the rank is unavailable for this long."""
         return ns_to_cycles(self.trfc_ns, self.cpu_ghz)
@@ -86,7 +93,7 @@ class DRAMGeometry:
     halve the usable channel bandwidth — an artifact, not a property of
     the design."""
 
-    @property
+    @cached_property
     def banks_per_channel(self) -> int:
         return self.ranks_per_channel * self.banks_per_rank
 
@@ -94,21 +101,20 @@ class DRAMGeometry:
         """Map a physical line address onto (channel, bank, row, column).
 
         Consecutive channel-stripes interleave across channels, then walk
-        a row, then interleave across banks.
+        a row, then interleave across banks.  The DRAM model calls this on
+        every access, so the result is built as a bare tuple.
         """
-        stripe = line_addr // self.channel_interleave_lines
-        offset = line_addr % self.channel_interleave_lines
-        channel = stripe % self.channels
-        local = (stripe // self.channels) * self.channel_interleave_lines + offset
-        column = local % self.lines_per_row
+        interleave = self.channel_interleave_lines
+        channels = self.channels
+        stripe = line_addr // interleave
+        local = (stripe // channels) * interleave + line_addr % interleave
         rest = local // self.lines_per_row
-        bank = rest % self.banks_per_channel
-        row = rest // self.banks_per_channel
-        return DecodedAddress(channel, bank, row, column)
+        banks = self.banks_per_channel
+        column = local % self.lines_per_row
+        return _tuple_new(DecodedAddress, (stripe % channels, rest % banks, rest // banks, column))
 
 
-@dataclass(frozen=True)
-class DecodedAddress:
+class DecodedAddress(NamedTuple):
     """A physical line address decoded into DRAM coordinates."""
 
     channel: int

@@ -138,13 +138,11 @@ class SimulatedSystem:
     def _make_batch(self) -> Optional[BatchCompressor]:
         """Batch front-end for the controller's compressor, if seedable.
 
-        Batch-driving only pays off when the vectorized sizes can be
+        Size precompute only pays off when the vectorized sizes can be
         parked somewhere the controller's scalar queries will find them —
         i.e. the compressor exposes a ``seed_sizes`` memo.  Controllers
-        without a compressor (uncompressed, prefetch) replay the plain
-        scalar trace; either way the record stream and every simulated
-        outcome are identical (the golden test holds all seven designs to
-        that).
+        without a compressor (uncompressed, prefetch) get none; their
+        trace is still chunked (:meth:`_trace_for`).
         """
         if self.config.batch_chunk <= 0:
             return None
@@ -154,12 +152,20 @@ class SimulatedSystem:
         return BatchCompressor(compressor)
 
     def _trace_for(self, core_id: int, total_ops: int):
-        """The core's trace iterator: chunk-batched when it can help."""
+        """The core's trace iterator: chunked whenever ``batch_chunk > 0``.
+
+        Every design takes the chunked feed, which renders each chunk's
+        line data in one numpy pass; the chunk's compressed sizes are
+        precomputed only where there is a batch front-end.  The record
+        stream and every simulated outcome equal the scalar feed's (the
+        golden test holds all seven designs to that).
+        """
         generator = self.generators[core_id]
-        if self.batch is None:
+        if self.config.batch_chunk <= 0:
             return generator.generate(total_ops)
+        on_chunk = self._precompute_chunk if self.batch is not None else None
         return generator.generate_batched(
-            total_ops, self.config.batch_chunk, on_chunk=self._precompute_chunk
+            total_ops, self.config.batch_chunk, on_chunk=on_chunk
         )
 
     def _precompute_chunk(self, chunk) -> None:

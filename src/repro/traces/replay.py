@@ -27,14 +27,13 @@ per-core decorrelation the synthetic roster gets).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cpu.trace import TraceRecord
 from repro.traces.formats import Access
 from repro.traces.store import TraceStore, trace_store
-from repro.workloads.data_patterns import SPEC_LIKE, DataGenerator, DataProfile
+from repro.workloads.data_patterns import SPEC_LIKE, DataProfile
 from repro.workloads.generators import RecordStreamGenerator, TraceExhausted
 
 
@@ -113,14 +112,7 @@ class TraceReplayGenerator(RecordStreamGenerator):
     """
 
     def __init__(self, spec: TraceWorkload, core_id: int) -> None:
-        self.spec = spec
-        self.core_id = core_id
-        self._rng = random.Random(spec.seed * 1_000_003 + core_id)
-        self.data = DataGenerator(
-            spec.profile,
-            seed=spec.seed * 7_919 + core_id,
-            write_scramble=spec.write_scramble,
-        )
+        super().__init__(spec, core_id)
         records = _shared_records(spec.trace_hash)
         if spec.limit > 0:
             records = records[: spec.limit]
@@ -128,9 +120,6 @@ class TraceReplayGenerator(RecordStreamGenerator):
             raise ValueError(f"trace {spec.trace_hash[:12]} has no records to replay")
         self._records = records
         self._cursor = 0
-        self._versions: Dict[int, int] = {}
-        #: reference model: the latest data value of every line ever written
-        self.reference: Dict[int, bytes] = {}
         # trace.* telemetry sources (aggregated by SimulatedSystem);
         # bumped from _on_replay, i.e. per record *consumed*, so the
         # batched path's decode-ahead never skews phase deltas
@@ -144,30 +133,19 @@ class TraceReplayGenerator(RecordStreamGenerator):
             return 0
         return (self.replayed_records - 1) // len(self._records)
 
-    def current_data(self, vline: int) -> bytes:
-        """The value the line holds right now (version-aware)."""
-        return self.data.line(vline, self._versions.get(vline, 0))
-
     def _on_replay(self, record: TraceRecord) -> None:
         self.replayed_records += 1
         if record.is_write:
             self.synthesized_fills += 1
 
-    def _record(self) -> TraceRecord:
+    def _draw(self) -> Tuple[int, bool, int]:
         if self._cursor >= len(self._records):
             if not self.spec.loop:
                 raise TraceExhausted()
             self._cursor = 0
         is_write, vline = self._records[self._cursor]
         self._cursor += 1
-        gap = self._rng.randint(0, 2 * self.spec.mean_gap)
-        if is_write:
-            version = self._versions.get(vline, 0) + 1
-            self._versions[vline] = version
-            data = self.data.line(vline, version)
-            self.reference[vline] = data
-            return TraceRecord(gap, True, vline, data)
-        return TraceRecord(gap, False, vline, None)
+        return self._rng.randint(0, 2 * self.spec.mean_gap), is_write, vline
 
 
 __all__ = [

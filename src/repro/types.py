@@ -19,13 +19,23 @@ class Level(IntEnum):
     QUAD = 4
 
 
+#: values of the :class:`Category` members that are DRAM writes
+_WRITE_CATEGORY_VALUES = frozenset(
+    {"data_write", "metadata_write", "clean_writeback", "invalidate_write"}
+)
+
+
 class Category(Enum):
     """Bandwidth accounting buckets for DRAM accesses.
 
     These are exactly the stack components the paper's bandwidth plots use:
     Fig. 4 splits table-based TMC into data / additional writes / metadata,
     and Fig. 14 splits PTMC into data / clean-evict+invalidate / mispredict.
+    ``is_write`` is fixed per member when the enum is built, so the DRAM
+    model reads it as a plain attribute on every access.
     """
+
+    is_write: bool
 
     DATA_READ = "data_read"
     DATA_WRITE = "data_write"
@@ -37,14 +47,8 @@ class Category(Enum):
     PREFETCH_READ = "prefetch_read"
     MAINTENANCE = "maintenance"
 
-    @property
-    def is_write(self) -> bool:
-        return self in (
-            Category.DATA_WRITE,
-            Category.METADATA_WRITE,
-            Category.CLEAN_WRITEBACK,
-            Category.INVALIDATE_WRITE,
-        )
+    def __init__(self, value: str) -> None:
+        self.is_write = value in _WRITE_CATEGORY_VALUES
 
 
 #: Categories that exist only because compression is enabled; the paper's

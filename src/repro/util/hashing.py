@@ -23,6 +23,21 @@ def mix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
+def mix64_array(values):
+    """:func:`mix64` over a ``uint64`` numpy array (wrapping arithmetic).
+
+    The mask in :func:`mix64` is what ``uint64`` overflow does for free,
+    so each element equals ``mix64`` of the same value exactly.
+    """
+    import numpy as np
+
+    values = values ^ (values >> np.uint64(30))
+    values = values * np.uint64(0xBF58476D1CE4E5B9)
+    values = values ^ (values >> np.uint64(27))
+    values = values * np.uint64(0x94D049BB133111EB)
+    return values ^ (values >> np.uint64(31))
+
+
 class KeyedHash:
     """Deterministic keyed 64-bit hash ``H(key, message, tweak)``.
 
@@ -40,6 +55,14 @@ class KeyedHash:
         h = mix64(message ^ self._k0)
         h = mix64(h ^ (tweak * 0xD6E8FEB86659FD93 & _MASK64))
         return mix64(h ^ self._k1)
+
+    def hash64_array(self, messages, tweak: int = 0):
+        """:meth:`hash64` over a ``uint64`` numpy array of messages."""
+        import numpy as np
+
+        h = mix64_array(messages ^ np.uint64(self._k0))
+        h = mix64_array(h ^ np.uint64(tweak * 0xD6E8FEB86659FD93 & _MASK64))
+        return mix64_array(h ^ np.uint64(self._k1))
 
     def digest(self, message: int, nbytes: int, tweak: int = 0) -> bytes:
         """Return ``nbytes`` of keyed output, expanded counter-mode style."""

@@ -22,7 +22,10 @@ family         contents                           co-compressibility
 
 Generation is a pure function of (address, version, seed) so the
 simulator can regenerate identical bytes anywhere and memoized
-compression stays valid.
+compression stays valid.  :func:`render_pattern` and
+:meth:`DataGenerator.line` are the specification;
+:meth:`DataGenerator.render_many` renders many lines in one numpy pass
+and must match them byte for byte (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -30,12 +33,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.compression.base import LINE_SIZE
-from repro.util.hashing import KeyedHash, mix64
+from repro.util.hashing import KeyedHash, mix64, mix64_array
 
 LINES_PER_PAGE = 64
+
+_MASK64 = (1 << 64) - 1
 
 
 class PatternKind(Enum):
@@ -45,6 +50,17 @@ class PatternKind(Enum):
     MEDIUM = "medium"
     BOUNDARY = "boundary"
     RANDOM = "random"
+
+
+#: a small-integer code per kind, for the vectorized renderer
+_CODE = {kind: code for code, kind in enumerate(PatternKind)}
+
+
+def _unit_draws(hashes):
+    """``(h % 2**30) / 2**30`` per element, as the scalar draws compute it."""
+    import numpy as np
+
+    return (hashes & np.uint64((1 << 30) - 1)).astype(np.float64) / float(1 << 30)
 
 
 @dataclass(frozen=True)
@@ -86,6 +102,31 @@ class DataProfile:
             if draw < self.noise:
                 return PatternKind.RANDOM
         return kind
+
+    def kind_codes(self, vlines, seed: int):
+        """:meth:`kind_for_line` codes over a ``uint64`` array of lines.
+
+        ``seed`` must already be masked to 64 bits (XOR commutes with
+        the mask :func:`mix64` applies to its input).
+        """
+        import numpy as np
+
+        seed64 = np.uint64(seed)
+        pages = vlines // np.uint64(LINES_PER_PAGE)
+        total = sum(self.weights.values())
+        draws = _unit_draws(mix64_array(pages ^ seed64 ^ np.uint64(0xA5A5))) * total
+        codes = np.full(vlines.shape, _CODE[PatternKind.RANDOM], dtype=np.int8)
+        open_ = np.ones(vlines.shape, dtype=bool)
+        acc = 0.0
+        for kind, weight in self.weights.items():
+            acc += weight
+            hit = open_ & (draws < acc)
+            codes[hit] = _CODE[kind]
+            open_ &= ~hit
+        if self.noise > 0.0:
+            noisy = _unit_draws(mix64_array(vlines ^ seed64 ^ np.uint64(0x0F0F))) < self.noise
+            codes[noisy] = _CODE[PatternKind.RANDOM]
+        return codes
 
 
 # Canonical profiles used by the synthetic suites --------------------------
@@ -152,6 +193,42 @@ class DataGenerator:
             self._memo[key] = data
         return data
 
+    def render_many(self, keys: Iterable[Tuple[int, int]]) -> None:
+        """Render every ``(vline, version)`` key into the :meth:`line` memo.
+
+        One numpy pass over all keys not yet memoized: the page-kind,
+        noise and write-scramble draws and every :func:`render_pattern`
+        family run as wrapping ``uint64`` arithmetic, so each memoized
+        line equals what :meth:`line` would have produced, byte for byte.
+        Keys outside the ``uint64`` range, where that arithmetic would
+        not match Python's, take the scalar :meth:`line` instead.
+        """
+        import numpy as np
+
+        memo = self._memo
+        todo: List[Tuple[int, int]] = []
+        for key in dict.fromkeys(keys):
+            if key in memo:
+                continue
+            if 0 <= key[0] <= _MASK64 and 0 <= key[1] <= _MASK64:
+                todo.append(key)
+            else:
+                self.line(*key)
+        if not todo:
+            return
+        vlines = np.array([key[0] for key in todo], dtype=np.uint64)
+        versions = np.array([key[1] for key in todo], dtype=np.uint64)
+        seed = self.seed & _MASK64
+        codes = self.profile.kind_codes(vlines, seed)
+        seed = np.uint64(seed)
+        if self.write_scramble > 0.0:
+            draws = _unit_draws(mix64_array(vlines ^ (versions << np.uint64(32)) ^ seed))
+            codes[(versions > 0) & (draws < self.write_scramble)] = _CODE[PatternKind.RANDOM]
+        nonces = mix64_array(vlines ^ (versions << np.uint64(20)) ^ seed)
+        blob = render_patterns(codes, nonces, self._hash).tobytes()
+        for i, key in enumerate(todo):
+            memo[key] = blob[i * LINE_SIZE : (i + 1) * LINE_SIZE]
+
 
 def render_pattern(kind: PatternKind, nonce: int, keyed: KeyedHash) -> bytes:
     """Materialise 64 bytes of the given family from a nonce."""
@@ -200,3 +277,59 @@ def render_pattern(kind: PatternKind, nonce: int, keyed: KeyedHash) -> bytes:
     # RANDOM: keyed noise, astronomically unlikely to hit any pattern
     base = keyed.hash64(nonce, tweak=0xBAD)
     return b"".join(mix64(base + i).to_bytes(8, "little") for i in range(8))
+
+
+def _mix_steps(states, steps: int):
+    """The successive ``mix64`` states ``render_pattern`` draws words from."""
+    import numpy as np
+
+    out = np.empty((states.shape[0], steps), dtype=np.uint64)
+    for i in range(steps):
+        states = mix64_array(states)
+        out[:, i] = states
+    return out
+
+
+def render_patterns(codes, nonces, keyed: KeyedHash):
+    """:func:`render_pattern` over arrays: an ``(n, 64)`` uint8 array.
+
+    ``codes`` holds each row's :class:`PatternKind` code and ``nonces``
+    its ``uint64`` nonce; every family is computed for its own rows only.
+    """
+    import numpy as np
+
+    u64 = np.uint64
+    out = np.zeros((codes.shape[0], LINE_SIZE), dtype=np.uint8)
+
+    def rows(kind: PatternKind):
+        return np.flatnonzero(codes == _CODE[kind])
+
+    idx = rows(PatternKind.SMALL_INT)
+    if idx.size:
+        words = np.zeros((idx.size, 16), dtype="<i4")
+        words[:, 12:] = ((_mix_steps(nonces[idx], 4) >> u64(8)) % u64(15)).astype(np.int64) - 7
+        out[idx] = words.view(np.uint8)
+    idx = rows(PatternKind.POINTER)
+    if idx.size:
+        nonce = nonces[idx]
+        base = u64(0x7F0000000000) | ((nonce & u64(0xFFFF)) << u64(20))
+        values = base[:, None] + _mix_steps(nonce, 8) % u64(120)
+        out[idx] = values.astype("<u8").view(np.uint8)
+    idx = rows(PatternKind.BOUNDARY)
+    if idx.size:
+        states = _mix_steps(nonces[idx], 16)
+        magnitude = np.empty(states.shape, dtype=np.int64)
+        magnitude[:, 0::2] = 9 + (states[:, 0::2] % u64(90)).astype(np.int64)
+        magnitude[:, 1::2] = 300 + (states[:, 1::2] % u64(29000)).astype(np.int64)
+        positive = (states & u64(1 << 40)) != 0
+        out[idx] = np.where(positive, magnitude, -magnitude).astype("<i4").view(np.uint8)
+    idx = rows(PatternKind.MEDIUM)
+    if idx.size:
+        words = ((_mix_steps(nonces[idx], 16) >> u64(4)) % u64(60000)).astype(np.int64) - 30000
+        out[idx] = words.astype("<i4").view(np.uint8)
+    idx = rows(PatternKind.RANDOM)
+    if idx.size:
+        base = keyed.hash64_array(nonces[idx], tweak=0xBAD)
+        values = mix64_array(base[:, None] + np.arange(8, dtype=np.uint64))
+        out[idx] = values.astype("<u8").view(np.uint8)
+    return out

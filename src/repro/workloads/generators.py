@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.cpu.trace import TraceRecord
 from repro.workloads.data_patterns import (
@@ -69,7 +69,7 @@ class WorkloadSpec:
 
 
 class TraceExhausted(Exception):
-    """Raised by ``_record()`` when a finite record source runs out.
+    """Raised by ``_draw()`` when a finite record source runs out.
 
     Synthetic generators never raise it; finite (non-looping) trace
     replay does, and :class:`RecordStreamGenerator` turns it into a
@@ -78,18 +78,64 @@ class TraceExhausted(Exception):
 
 
 class RecordStreamGenerator:
-    """Shared scalar/batched replay machinery over a ``_record()`` source.
+    """Shared scalar/batched replay machinery over a ``_draw()`` source.
 
-    Subclasses implement :meth:`_record` — the single source of record
-    order — and inherit ``generate``/``generate_batched`` whose record
-    streams are bitwise-identical to each other (DESIGN.md §9).  A
-    subclass with a finite source signals the end by raising
-    :class:`TraceExhausted` from ``_record()``.
+    A record is made in two steps.  Subclasses implement :meth:`_draw`,
+    the single source of record order (RNG draws, trace cursor), which
+    returns ``(gap, is_write, vline)``; :meth:`_next_key` adds the
+    version bump every write makes, and :meth:`_finish` — shared by both
+    paths — takes the line data and updates ``reference``.  The two paths
+    differ only in where that data comes from: ``generate`` renders each
+    line on demand through :meth:`DataGenerator.line` (the reference),
+    while ``generate_batched`` renders a whole chunk's lines with
+    :meth:`DataGenerator.render_many` first, so ``_finish`` (and the
+    system's first-touch memory reads) find them memoized.  Their record
+    streams are bitwise-identical (DESIGN.md §9).  A subclass with a
+    finite source signals the end by raising :class:`TraceExhausted`
+    from ``_draw()``.
+
+    ``spec`` supplies ``seed``, ``profile`` and ``write_scramble``; the
+    timing RNG and the line data are seeded from ``(spec.seed, core_id)``
+    the same way for every record source.
     """
 
-    def _record(self) -> TraceRecord:
-        """Draw the next trace record (the single source of RNG order)."""
+    def __init__(self, spec, core_id: int) -> None:
+        self.spec = spec
+        self.core_id = core_id
+        self._rng = random.Random(spec.seed * 1_000_003 + core_id)
+        self.data = DataGenerator(
+            spec.profile,
+            seed=spec.seed * 7_919 + core_id,
+            write_scramble=spec.write_scramble,
+        )
+        self._versions: Dict[int, int] = {}
+        #: reference model: the latest data value of every line ever written
+        self.reference: Dict[int, bytes] = {}
+
+    def _draw(self) -> Tuple[int, bool, int]:
+        """Draw the next ``(gap, is_write, vline)`` (the single source of RNG order)."""
         raise NotImplementedError
+
+    def _next_key(self) -> Tuple[int, bool, int, int]:
+        """The next draw plus its line version: bumped for a write, 0 for a read."""
+        gap, is_write, vline = self._draw()
+        version = 0
+        if is_write:
+            version = self._versions.get(vline, 0) + 1
+            self._versions[vline] = version
+        return gap, is_write, vline, version
+
+    def _finish(self, gap: int, is_write: bool, vline: int, version: int) -> TraceRecord:
+        """The record for one drawn key: a write takes its data and updates ``reference``."""
+        if not is_write:
+            return TraceRecord(gap, False, vline, None)
+        data = self.data.line(vline, version)
+        self.reference[vline] = data
+        return TraceRecord(gap, True, vline, data)
+
+    def current_data(self, vline: int) -> bytes:
+        """The value the line holds right now (version-aware)."""
+        return self.data.line(vline, self._versions.get(vline, 0))
 
     def _on_replay(self, record: TraceRecord) -> None:
         """Hook fired as each record is handed to the consumer.
@@ -105,9 +151,10 @@ class RecordStreamGenerator:
         """Yield up to ``num_ops`` trace records."""
         for _ in range(num_ops):
             try:
-                record = self._record()
+                key = self._next_key()
             except TraceExhausted:
                 return
+            record = self._finish(*key)
             self._on_replay(record)
             yield record
 
@@ -119,12 +166,15 @@ class RecordStreamGenerator:
     ) -> Iterator[TraceRecord]:
         """Yield exactly the records :meth:`generate` would, in chunks.
 
-        Records are pre-decoded ``chunk_ops`` at a time and each block is
-        handed to ``on_chunk`` (as a :class:`TraceChunk`) before any of
-        its records is replayed — one opportunity for bulk work, such as
+        Records are pre-decoded ``chunk_ops`` at a time.  Each block's
+        line data — the written versions and version 0 of every line it
+        touches (first-touch memory contents) — is rendered in one
+        :meth:`DataGenerator.render_many` pass, and the block is handed
+        to ``on_chunk`` (as a :class:`TraceChunk`) before any of its
+        records is replayed: one opportunity for bulk work, such as
         vectorized compressed-size precompute, ahead of the per-record
-        consumers.  Both paths call :meth:`_record` in the same order, so
-        the record stream is identical; only the generator-side state
+        consumers.  Both paths draw keys in the same order, so the record
+        stream is identical; only the generator-side state
         (``reference``, versions) runs ahead of the replay by at most one
         chunk, which nothing observes until the trace is drained.
         """
@@ -134,15 +184,19 @@ class RecordStreamGenerator:
         while remaining > 0:
             take = min(chunk_ops, remaining)
             remaining -= take
-            records = []
+            keys = []
             try:
                 for _ in range(take):
-                    records.append(self._record())
+                    keys.append(self._next_key())
             except TraceExhausted:
                 remaining = 0
-            if not records:
+            if not keys:
                 return
-            chunk = TraceChunk(records)
+            self.data.render_many(
+                [(vline, version) for _, is_write, vline, version in keys if is_write]
+                + [(vline, 0) for _, _, vline, _ in keys]
+            )
+            chunk = TraceChunk([self._finish(*key) for key in keys])
             if on_chunk is not None:
                 on_chunk(chunk)
             for record in chunk.records:
@@ -154,21 +208,11 @@ class WorkloadTraceGenerator(RecordStreamGenerator):
     """Deterministic trace generator for one core running one spec."""
 
     def __init__(self, spec: WorkloadSpec, core_id: int) -> None:
-        self.spec = spec
-        self.core_id = core_id
-        self._rng = random.Random(spec.seed * 1_000_003 + core_id)
-        self.data = DataGenerator(
-            spec.profile,
-            seed=spec.seed * 7_919 + core_id,
-            write_scramble=spec.write_scramble,
-        )
-        self._versions: Dict[int, int] = {}
+        super().__init__(spec, core_id)
         self._stream_pos = self._rng.randrange(spec.footprint_lines)
         self._burst_pos = 0
         self._burst_left = 0
         self._hot: Deque[int] = deque(maxlen=spec.hot_lines)
-        #: reference model: the latest data value of every line ever written
-        self.reference: Dict[int, bytes] = {}
 
     # ------------------------------------------------------------------
 
@@ -200,23 +244,14 @@ class WorkloadTraceGenerator(RecordStreamGenerator):
         self._hot.append(addr)
         return addr
 
-    def current_data(self, vline: int) -> bytes:
-        """The value the line holds right now (version-aware)."""
-        return self.data.line(vline, self._versions.get(vline, 0))
-
-    def _record(self) -> TraceRecord:
-        """Draw the next trace record (the single source of RNG order)."""
+    def _draw(self) -> Tuple[int, bool, int]:
+        """Draw the next ``(gap, is_write, vline)`` (the single source of RNG order)."""
         spec = self.spec
         rng = self._rng
         gap = rng.randint(0, 2 * spec.mean_gap)
         vline = self._next_address()
-        if rng.random() < spec.write_frac:
-            version = self._versions.get(vline, 0) + 1
-            self._versions[vline] = version
-            data = self.data.line(vline, version)
-            self.reference[vline] = data
-            return TraceRecord(gap, True, vline, data)
-        return TraceRecord(gap, False, vline, None)
+        is_write = rng.random() < spec.write_frac
+        return gap, is_write, vline
 
 
 @dataclass

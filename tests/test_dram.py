@@ -144,7 +144,8 @@ class TestStats:
         assert dram.stats.accesses_by_category[Category.DATA_READ] == 1
         assert dram.stats.accesses_by_category[Category.METADATA_READ] == 1
         assert dram.stats.total_accesses == 3
-        assert dram.stats.category_count(Category.DATA_READ, Category.DATA_WRITE) == 2
+        by_category = dram.stats.accesses_by_category
+        assert by_category[Category.DATA_READ] + by_category[Category.DATA_WRITE] == 2
 
     def test_utilisation_bounded(self):
         dram = DRAMSystem()
@@ -264,3 +265,123 @@ class TestPagePolicy:
         dram.access(0, 0, Category.DATA_WRITE)
         dram.access(0, 0, Category.DATA_WRITE)
         assert dram.stats.row_hits == 0
+
+
+# ---------------------------------------------------------------------------
+# Pinned completions for the DRAM paths the simulation goldens never take.
+# The values were recorded from the per-access reference model; any change
+# to how an access is priced must reproduce them exactly.
+
+GEO = DRAMGeometry()
+CONFLICT = GEO.channels * GEO.lines_per_row * GEO.banks_per_channel  # same bank, next row
+R, W = Category.DATA_READ, Category.DATA_WRITE
+
+MIXED = [
+    (0, 0, R, 64), (1, 0, R, 64), (CONFLICT, 3, R, 64), (2, 0, W, 64),
+    (CONFLICT + 1, 5, Category.METADATA_READ, 64), (4, 0, R, 64),
+    (0, 200, Category.CLEAN_WRITEBACK, 64), (3, 0, R, 64), (2 * CONFLICT, 0, R, 64),
+    (5, 7, Category.MISPREDICT_READ, 64), (1, 0, W, 64), (6, 2500, R, 64),
+]
+#: MemZip-style variable bursts, including sub-beat and odd sizes
+BURSTS = [
+    (0, 0, R, 8), (1, 0, R, 16), (2, 0, R, 24), (CONFLICT, 0, R, 40),
+    (3, 0, W, 8), (8, 0, W, 33), (9, 0, R, 1), (4, 0, R, 64),
+    (CONFLICT + 2, 0, W, 56), (5, 3000, R, 12),
+]
+#: enough writes to cross a 4-entry queue's drain threshold, twice
+DRAIN = (
+    [(0, 0, R, 64)]
+    + [(8 + 8 * i, 1, W, 64) for i in range(6)]
+    + [(1, 0, R, 64), (16, 0, R, 64)]
+    + [(CONFLICT + 8 * i, 0, W, 64) for i in range(5)]
+    + [(2, 40, R, 64), (CONFLICT, 0, R, 64)]
+)
+#: a backlog of exactly the 4-entry threshold, with no idle bus time to drain into
+AT_THRESHOLD = [(0, 0, R, 64)] + [(8 + 8 * i, 0, W, 64) for i in range(4)] + [
+    (1, 0, R, 64), (2, 0, R, 64)
+]
+MIXED_COUNTS = {
+    "clean_writeback": 1, "data_read": 7, "data_write": 2,
+    "metadata_read": 1, "mispredict_read": 1,
+}
+DRAIN_COUNTS = {"data_read": 5, "data_write": 11}
+
+#: name -> (DRAMSystem options, ops, completions,
+#:          (row_hits, row_misses, activations, reads, writes, busy_cycles,
+#:           refresh_stalls), accesses by category)
+PINNED = {
+    "closed": (
+        dict(page_policy="closed"), MIXED,
+        [1224, 1328, 1435, 1435, 1544, 1648, 1848, 1952, 2056, 2167, 2167, 4771],
+        (0, 12, 12, 9, 3, 192, 1), MIXED_COUNTS,
+    ),
+    "closed_no_refresh": (
+        dict(page_policy="closed", refresh=False), MIXED,
+        [104, 208, 315, 315, 424, 528, 728, 832, 936, 1047, 1047, 3651],
+        (0, 12, 12, 9, 3, 192, 0), MIXED_COUNTS,
+    ),
+    "open_no_refresh": (
+        dict(refresh=False), MIXED,
+        [104, 164, 315, 315, 471, 575, 775, 835, 983, 1050, 1050, 3610],
+        (4, 8, 8, 9, 3, 192, 0), MIXED_COUNTS,
+    ),
+    "open": (
+        dict(), MIXED,
+        [1224, 1284, 1435, 1435, 1591, 1695, 1895, 1955, 2103, 2170, 2170, 4730],
+        (4, 8, 8, 9, 3, 192, 1), MIXED_COUNTS,
+    ),
+    "bursts": (
+        dict(), BURSTS,
+        [1210, 1258, 1308, 1450, 1450, 1450, 1496, 1600, 1600, 4648],
+        (5, 5, 5, 7, 3, 70, 1), {"data_read": 7, "data_write": 3},
+    ),
+    "drain": (
+        dict(write_queue_entries=4), DRAIN,
+        [1224, 1225, 1226, 1227, 1228, 1229, 1230, 1336,
+         1396, 1396, 1396, 1396, 1396, 1396, 1584, 1740],
+        (12, 4, 4, 5, 11, 256, 1), DRAIN_COUNTS,
+    ),
+    "drain_at_threshold": (
+        dict(write_queue_entries=4, refresh=False), AT_THRESHOLD,
+        [104, 104, 104, 104, 104, 184, 244],
+        (6, 1, 1, 3, 4, 112, 0), {"data_read": 3, "data_write": 4},
+    ),
+    "drain_no_refresh": (
+        dict(write_queue_entries=4, refresh=False), DRAIN,
+        [104, 105, 106, 107, 108, 109, 110, 216, 276, 276, 276, 276, 276, 276, 464, 620],
+        (12, 4, 4, 5, 11, 256, 0), DRAIN_COUNTS,
+    ),
+}
+
+
+def drive(dram, ops):
+    """Issue ``(addr, gap, category, burst_bytes)`` ops; reads advance time."""
+    completions = []
+    now = 0
+    for addr, gap, category, burst in ops:
+        now += gap
+        done = dram.access(addr, now, category, burst_bytes=burst)
+        completions.append(done)
+        if not category.is_write:
+            now = max(now, done)
+    return completions
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_completions_and_counters(name):
+    options, ops, completions, counters, by_category = PINNED[name]
+    dram = DRAMSystem(**options)
+    assert drive(dram, ops) == completions
+    stats = dram.stats
+    assert (
+        stats.row_hits, stats.row_misses, stats.activations, stats.reads,
+        stats.writes, stats.busy_cycles, stats.refresh_stalls,
+    ) == counters
+    assert {c.value: n for c, n in stats.accesses_by_category.items()} == by_category
+
+
+def test_drain_threshold_changes_timing():
+    """The drain cases really cross the threshold a deeper queue never hits."""
+    assert drive(DRAMSystem(), DRAIN) != PINNED["drain"][2]
+    deeper = DRAMSystem(write_queue_entries=5, refresh=False)
+    assert drive(deeper, AT_THRESHOLD) != PINNED["drain_at_threshold"][2]

@@ -6,7 +6,7 @@ import struct
 import pytest
 from hypothesis import given
 
-from repro.compression import BDI, CPack, FPC, HybridCompressor, ZeroLine
+from repro.compression import BDI, CPack, FPC, FVC, HybridCompressor, ZeroLine
 from repro.compression.base import CompressionAlgorithm, CompressionError
 from tests.lineutils import any_lines, pointer_line, random_line, small_int_line, zero_line
 
@@ -139,8 +139,7 @@ class TestTieBreaking:
     The rule (strict ``<`` in constructor order) is load-bearing: the
     vectorized batch kernel applies the same first-minimum selection, and
     any divergence would break the batch-vs-scalar bitwise-identity
-    guarantee the simulator relies on.  Memo pools are shared by
-    algorithm names, so each double below has a name of its own.
+    guarantee the simulator relies on.
     """
 
     def test_tie_keeps_first_algorithm(self):
@@ -173,6 +172,28 @@ class TestTieBreaking:
         assert [hybrid.compress(line) for line in lines] == first  # memo hits
         hybrid.clear_cache()
         assert [hybrid.compress(line) for line in lines] == first  # recomputed
+
+
+class TestSharedPools:
+    """Process-wide memo pools are keyed by what decides the payloads."""
+
+    def test_same_name_other_size_gets_its_own_pool(self):
+        line = b"\x3c" * 64
+        assert HybridCompressor([FixedSize("a", 8)]).compressed_size(line) == 9
+        assert HybridCompressor([FixedSize("a", 9)]).compressed_size(line) == 10
+        assert HybridCompressor([FixedSize("a", 9)]).compress(line) == b"\x00" + bytes(9)
+
+    def test_fvc_dictionaries_do_not_share(self):
+        line = struct.pack("<16I", *([0x5EED] * 16))
+        default = HybridCompressor([FVC()]).compressed_size(line)
+        trained = HybridCompressor([FVC([0x5EED])]).compressed_size(line)
+        assert default == 64
+        assert trained < default
+
+    def test_default_compressors_share_one_pool(self):
+        first, second = HybridCompressor(), HybridCompressor()
+        assert first._cache is second._cache
+        assert first._sizes is second._sizes
 
 
 @given(any_lines)

@@ -184,3 +184,55 @@ def test_line_data_pure_function(vline, version):
     gen1 = DataGenerator(SPEC_LIKE, seed=42)
     gen2 = DataGenerator(SPEC_LIKE, seed=42)
     assert gen1.line(vline, version) == gen2.line(vline, version)
+
+
+# ---------------------------------------------------------------------------
+# The vectorized renderer against the scalar reference (DESIGN.md §9)
+
+_SEEDS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-1, 0, 2**63, 2**64 - 1, 2**64, 2**64 + 17, -(2**64)]),
+)
+_VLINES = st.one_of(st.integers(0, 1 << 20), st.integers(0, 2**64 - 1))
+
+
+def _assert_render_many_matches(profile, seed, write_scramble, keys):
+    batched = DataGenerator(profile, seed, write_scramble)
+    batched.render_many(keys)
+    reference = DataGenerator(profile, seed, write_scramble)
+    for key in keys:
+        assert batched._memo[key] == reference.line(*key), key
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(list(PatternKind)),
+    noise=st.sampled_from([0.0, 0.05, 0.5]),
+    write_scramble=st.sampled_from([0.0, 0.35, 1.0]),
+    seed=_SEEDS,
+    keys=st.lists(st.tuples(_VLINES, st.integers(0, 5)), min_size=1, max_size=48),
+)
+def test_render_many_matches_line(kind, noise, write_scramble, seed, keys):
+    profile = DataProfile({kind: 1.0}, noise=noise)
+    _assert_render_many_matches(profile, seed, write_scramble, keys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_SEEDS,
+    keys=st.lists(
+        st.tuples(st.integers(-(2**66), 2**66), st.integers(-3, 2**65)), min_size=1, max_size=16
+    ),
+)
+def test_render_many_falls_back_outside_uint64(seed, keys):
+    _assert_render_many_matches(GRAPH_LIKE, seed, 0.35, keys)
+
+
+@pytest.mark.parametrize("profile", [SPEC_LIKE, GRAPH_LIKE], ids=["spec", "graph"])
+@pytest.mark.parametrize("write_scramble", [0.0, 0.35, 1.0])
+def test_render_many_covers_every_kind_and_version(profile, write_scramble):
+    keys = [(vline, version) for vline in range(0, 64 * 96, 5) for version in range(6)]
+    reference = DataGenerator(profile, 7, write_scramble)
+    kinds = {reference.kind(*key) for key in keys}
+    assert kinds == set(PatternKind)
+    _assert_render_many_matches(profile, 7, write_scramble, keys)
